@@ -1,15 +1,12 @@
 """Combined heat and power dispatch optimization toolkit."""
 
-from .constraints import (ConstraintConfig, penalized_objectives, repair,
-                          repair_batch)
-from .engine import (EngineConfig, FrontArchive, Individual, assign_fitness,
-                     binary_tournament, crowding_distance, dominates,
-                     environmental_selection, hypervolume_2d, ibea_run,
-                     idbea_run, indicator_ihd, nondominated_sort, nsga2_run,
-                     polynomial_mutation, run, sbx_crossover)
+from .constraints import ConstraintConfig, repair, repair_batch
+from .engine import (EngineConfig, FrontArchive, dominates, ibea_run,
+                     idbea_run, nsga2_run, run)
 from .geometry import ForPolygon
 from .metrics import (NormalizationBounds, eaf_surfaces, hv_metric,
-                      spread_delta, wilcoxon_signed_rank)
+                      hypervolume_2d, indicator_ihd, spread_delta,
+                      wilcoxon_signed_rank)
 from .model import (CogenUnit, DispatchVector, Evaluation, HeatOnlyUnit,
                     LossModel, PowerOnlyUnit, SystemDefinition,
                     SystemLoadError, balance_residuals, capacity_violation,
@@ -23,15 +20,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CogenUnit", "ConstraintConfig", "DispatchVector", "EngineConfig",
     "Evaluation", "ExperimentConfig", "ForPolygon", "FrontArchive",
-    "HeatOnlyUnit", "Individual", "LossModel", "NormalizationBounds",
-    "PowerOnlyUnit", "RunRecord", "SystemDefinition", "SystemLoadError",
-    "assign_fitness", "balance_residuals", "binary_tournament",
-    "capacity_violation", "crowding_distance", "dominates", "eaf_surfaces",
-    "emit_reports", "environmental_selection", "evaluate", "hv_metric",
-    "hypervolume_2d", "ibea_run", "idbea_run", "indicator_ihd",
-    "load_experiment", "load_system", "nondominated_sort", "nsga2_run",
-    "penalized_objectives", "polynomial_mutation", "repair", "repair_batch",
-    "run", "run_experiment", "sbx_crossover", "select_compromise",
+    "HeatOnlyUnit", "LossModel", "NormalizationBounds", "PowerOnlyUnit",
+    "RunRecord", "SystemDefinition", "SystemLoadError", "balance_residuals",
+    "capacity_violation", "dominates", "eaf_surfaces", "emit_reports",
+    "evaluate", "hv_metric", "hypervolume_2d", "ibea_run", "idbea_run",
+    "indicator_ihd", "load_experiment", "load_system", "nsga2_run", "repair",
+    "repair_batch", "run", "run_experiment", "select_compromise",
     "spread_delta", "total_cost", "total_emission", "transmission_loss",
     "wilcoxon_signed_rank",
 ]

@@ -199,22 +199,34 @@ def _read_front_csv(path: Path, algorithm: str, seed: int,
     )
 
 
+def _seed_files(directory: Path, prefix: str = "*") -> dict[int, Path]:
+    """{seed: csv path} of the <prefix>_seed<N>.csv files in a directory."""
+    runs = {}
+    for f in sorted(directory.glob(f"{prefix}_seed*.csv")):
+        try:
+            runs[int(f.stem.rsplit("seed", 1)[1])] = f
+        except (IndexError, ValueError):
+            continue
+    return runs
+
+
 def _discover_runs(exp_dir: Path) -> dict[str, dict[int, Path]]:
     """{algorithm: {seed: csv path}} found under an experiment directory."""
-    found: dict[str, dict[int, Path]] = {}
+    found = {}
     for alg_dir in sorted(p for p in exp_dir.iterdir() if p.is_dir()):
-        runs = {}
-        for f in sorted(alg_dir.glob(f"{alg_dir.name}_seed*.csv")):
-            try:
-                seed = int(f.stem.rsplit("seed", 1)[1])
-            except (IndexError, ValueError):
-                continue
-            runs[seed] = f
+        runs = _seed_files(alg_dir, alg_dir.name)
         if runs:
             found[alg_dir.name] = runs
     if not found:
         raise SystemLoadError(f"no run files found under {exp_dir}")
     return found
+
+
+def _load_fronts(found, system_id: str = "") -> dict[str, dict[int, FrontArchive]]:
+    """Read every discovered front CSV once: {algorithm: {seed: front}}."""
+    return {alg: {seed: _read_front_csv(path, alg, seed, system_id)
+                  for seed, path in runs.items()}
+            for alg, runs in found.items()}
 
 
 def _load_manifest(exp_dir: Path) -> dict:
@@ -309,11 +321,11 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _metric_rows(found, system_id: str, bounds: NormalizationBounds):
+def _metric_rows(fronts, system_id: str, bounds: NormalizationBounds):
     rows = []
-    for alg in sorted(found):
-        for seed in sorted(found[alg]):
-            front = _read_front_csv(found[alg][seed], alg, seed, system_id)
+    for alg in sorted(fronts):
+        for seed in sorted(fronts[alg]):
+            front = fronts[alg][seed]
             if front.objectives.shape[1] != 2:
                 raise SystemLoadError(
                     "metrics need bi-objective fronts; this run is single-objective")
@@ -323,10 +335,9 @@ def _metric_rows(found, system_id: str, bounds: NormalizationBounds):
     return rows
 
 
-def _union_bounds(found, system_id: str) -> NormalizationBounds:
-    fronts = [_read_front_csv(path, alg, seed, system_id)
-              for alg, runs in found.items() for seed, path in runs.items()]
-    return NormalizationBounds.from_fronts(fronts)
+def _union_bounds(fronts) -> NormalizationBounds:
+    return NormalizationBounds.from_fronts(
+        [f for runs in fronts.values() for f in runs.values()])
 
 
 def _write_metrics_csv(path: Path, rows) -> None:
@@ -336,24 +347,20 @@ def _write_metrics_csv(path: Path, rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _compare_rows(found, system_id: str, alpha: float):
+def _compare_rows(fronts, alpha: float):
     """Paired hv/spread Wilcoxon rows for every algorithm pair sharing seeds."""
-    algs = sorted(found)
+    algs = sorted(fronts)
     out = []
     for i, a in enumerate(algs):
         for b in algs[i + 1:]:
-            seeds = sorted(set(found[a]) & set(found[b]))
+            seeds = sorted(set(fronts[a]) & set(fronts[b]))
             if len(seeds) < 2:
                 continue
-            fronts_a = {s: _read_front_csv(found[a][s], a, s, system_id)
-                        for s in seeds}
-            fronts_b = {s: _read_front_csv(found[b][s], b, s, system_id)
-                        for s in seeds}
+            paired = [(fronts[a][s], fronts[b][s]) for s in seeds]
             bounds = NormalizationBounds.from_fronts(
-                list(fronts_a.values()) + list(fronts_b.values()))
+                [f for pair in paired for f in pair])
             for metric, fn in (("hv", hv_metric), ("spread", spread_delta)):
-                pairs = [(fn(fronts_a[s], bounds), fn(fronts_b[s], bounds))
-                         for s in seeds]
+                pairs = [(fn(fa, bounds), fn(fb, bounds)) for fa, fb in paired]
                 p, reject = wilcoxon_signed_rank(pairs, alpha)
                 mean_a = float(np.mean([x for x, _ in pairs]))
                 mean_b = float(np.mean([y for _, y in pairs]))
@@ -361,7 +368,7 @@ def _compare_rows(found, system_id: str, alpha: float):
     return out
 
 
-def _solution_rows(front: FrontArchive, system: SystemDefinition):
+def _solution_rows(front: FrontArchive):
     objs = front.objectives
     rows = [("best_cost", int(np.argmin(objs[:, 0])))]
     if objs.shape[1] == 2:
@@ -378,7 +385,7 @@ def emit_reports(exp_dir, alpha: float = 0.05,
     exp_dir = Path(exp_dir)
     manifest = _load_manifest(exp_dir)
     system = load_system(manifest["system"])
-    found = _discover_runs(exp_dir)
+    fronts = _load_fronts(_discover_runs(exp_dir), system.name)
     walls = {(r["algorithm"], r["seed"]): r["wall_time"]
              for r in manifest.get("runs", [])}
     written = []
@@ -390,15 +397,15 @@ def emit_reports(exp_dir, alpha: float = 0.05,
     summary_lines = ["algorithm,runs,best_cost,worst_cost,mean_cost,"
                      "std_cost,best_emission,mean_wall_time_s"]
     two_obj = True
-    for alg in sorted(found):
+    for alg in sorted(fronts):
         min_costs, min_ems, alg_walls = [], [], []
-        for seed in sorted(found[alg]):
-            front = _read_front_csv(found[alg][seed], alg, seed, system.name)
+        for seed in sorted(fronts[alg]):
+            front = fronts[alg][seed]
             two_obj = front.objectives.shape[1] == 2
             p, o, _, _ = system.split_genes(front.genes)
             ploss = loss_batch(p, o, system)
             wall = walls.get((alg, seed))
-            for label, idx in _solution_rows(front, system):
+            for label, idx in _solution_rows(front):
                 row = [alg, str(seed), label,
                        _fmt(front.objectives[idx, 0]),
                        _fmt(front.objectives[idx, 1]) if two_obj else "",
@@ -429,12 +436,12 @@ def emit_reports(exp_dir, alpha: float = 0.05,
     written.append(path)
 
     if two_obj:
-        bounds = _union_bounds(found, system.name)
         path = exp_dir / "metrics.csv"
-        _write_metrics_csv(path, _metric_rows(found, system.name, bounds))
+        _write_metrics_csv(path, _metric_rows(fronts, system.name,
+                                              _union_bounds(fronts)))
         written.append(path)
 
-        rows = _compare_rows(found, system.name, alpha)
+        rows = _compare_rows(fronts, alpha)
         if rows:
             lines = ["algorithm_a,algorithm_b,metric,n_pairs,mean_a,mean_b,"
                      "p_value,reject"]
@@ -445,19 +452,26 @@ def emit_reports(exp_dir, alpha: float = 0.05,
             _atomic_write(path, "\n".join(lines) + "\n")
             written.append(path)
 
-        for alg in sorted(found):
-            if len(found[alg]) < 2:
-                continue
-            fronts = [_read_front_csv(found[alg][s], alg, s, system.name)
-                      for s in sorted(found[alg])]
-            surfaces = eaf_surfaces(fronts, eaf_levels)
-            for level in sorted(surfaces):
-                tag = str(int(level)) if float(level).is_integer() else repr(level)
-                path = exp_dir / f"eaf_{alg}_{tag}.csv"
-                lines = ["cost,emission"]
-                lines += [f"{_fmt(x)},{_fmt(y)}" for x, y in surfaces[level]]
-                _atomic_write(path, "\n".join(lines) + "\n")
-                written.append(path)
+        written += _write_eaf(exp_dir, fronts, eaf_levels)
+    return written
+
+
+def _write_eaf(exp_dir: Path, fronts, levels) -> list[Path]:
+    """eaf_<algorithm>_<level>.csv polylines for every algorithm with at
+    least 2 runs; returns the paths written."""
+    written = []
+    for alg in sorted(fronts):
+        if len(fronts[alg]) < 2:
+            continue
+        runs = [fronts[alg][s] for s in sorted(fronts[alg])]
+        surfaces = eaf_surfaces(runs, levels)
+        for level in sorted(surfaces):
+            tag = str(int(level)) if float(level).is_integer() else repr(level)
+            path = exp_dir / f"eaf_{alg}_{tag}.csv"
+            lines = ["cost,emission"]
+            lines += [f"{_fmt(x)},{_fmt(y)}" for x, y in surfaces[level]]
+            _atomic_write(path, "\n".join(lines) + "\n")
+            written.append(path)
     return written
 
 
@@ -473,9 +487,9 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_bounds(spec: str, found, system_id) -> NormalizationBounds:
+def _parse_bounds(spec: str, fronts) -> NormalizationBounds:
     if spec == "union":
-        return _union_bounds(found, system_id)
+        return _union_bounds(fronts)
     path = Path(spec)
     if not path.exists():
         raise SystemLoadError(f"bounds file not found: {path}")
@@ -488,9 +502,9 @@ def _parse_bounds(spec: str, found, system_id) -> NormalizationBounds:
 def _cmd_metrics(args) -> int:
     exp_dir = Path(args.run_dir)
     manifest = _load_manifest(exp_dir)
-    found = _discover_runs(exp_dir)
-    bounds = _parse_bounds(args.bounds, found, manifest["system_id"])
-    rows = _metric_rows(found, manifest["system_id"], bounds)
+    fronts = _load_fronts(_discover_runs(exp_dir), manifest["system_id"])
+    bounds = _parse_bounds(args.bounds, fronts)
+    rows = _metric_rows(fronts, manifest["system_id"], bounds)
     _write_metrics_csv(exp_dir / "metrics.csv", rows)
     print("system,algorithm,seed,hv,spread")
     for system_id, alg, seed, hv, spread in rows:
@@ -504,24 +518,14 @@ def _cmd_eaf(args) -> int:
     levels = [float(v) for v in args.levels.split(",") if v.strip()]
     if not levels:
         raise SystemLoadError("no attainment levels given")
-    written = []
     manifest = _load_manifest(exp_dir)
-    found = _discover_runs(exp_dir)
-    for alg in sorted(found):
-        if len(found[alg]) < 2:
+    fronts = _load_fronts(_discover_runs(exp_dir), manifest["system_id"])
+    for alg in sorted(fronts):
+        if len(fronts[alg]) < 2:
             print(f"skipping {alg}: needs at least 2 runs", file=sys.stderr)
-            continue
-        fronts = [_read_front_csv(found[alg][s], alg, s, manifest["system_id"])
-                  for s in sorted(found[alg])]
-        surfaces = eaf_surfaces(fronts, levels)
-        for level in sorted(surfaces):
-            tag = str(int(level)) if float(level).is_integer() else repr(level)
-            path = exp_dir / f"eaf_{alg}_{tag}.csv"
-            lines = ["cost,emission"]
-            lines += [f"{_fmt(x)},{_fmt(y)}" for x, y in surfaces[level]]
-            _atomic_write(path, "\n".join(lines) + "\n")
-            written.append(path)
-            print(f"wrote {path}")
+    written = _write_eaf(exp_dir, fronts, levels)
+    for path in written:
+        print(f"wrote {path}")
     if not written:
         raise SystemLoadError("no algorithm had enough runs for EAF surfaces")
     return 0
@@ -531,23 +535,16 @@ def _cmd_compare(args) -> int:
     if args.test != "wilcoxon":
         raise SystemLoadError(f"unknown test: {args.test}")
     dirs = []
-    for d in (args.run_dir_a, args.run_dir_b):
-        d = Path(d)
-        runs = {}
-        for f in sorted(d.glob("*_seed*.csv")):
-            try:
-                seed = int(f.stem.rsplit("seed", 1)[1])
-            except (IndexError, ValueError):
-                continue
-            runs[seed] = f
+    for d in (Path(args.run_dir_a), Path(args.run_dir_b)):
+        runs = _seed_files(d)
         if not runs:
             raise SystemLoadError(f"no run files found under {d}")
         dirs.append((d.name, runs))
     (name_a, runs_a), (name_b, runs_b) = dirs
     if name_a == name_b:
         name_a, name_b = f"a:{name_a}", f"b:{name_b}"
-    found = {name_a: runs_a, name_b: runs_b}
-    rows = _compare_rows(found, "", args.alpha)
+    rows = _compare_rows(_load_fronts({name_a: runs_a, name_b: runs_b}),
+                         args.alpha)
     if not rows:
         raise SystemLoadError("the two run sets share fewer than 2 seeds")
     print("algorithm_a,algorithm_b,metric,n_pairs,mean_a,mean_b,p_value,reject")

@@ -1,4 +1,5 @@
-"""Constraint handling: repair to the feasible set, then penalty.
+"""Constraint handling: repair toward the feasible set, then measure what
+is left.
 
 Repair order matters. Box clamping and region projection first, so the
 slack adjustments below start from capacity-feasible points. The heat
@@ -15,8 +16,11 @@ room: box room for power-only and heat-only units, and for cogeneration
 units the feasible interval of the moved coordinate at the fixed value of
 the other one. A single-coordinate move inside that interval cannot leave
 the convex operating region, so redistribution never undoes the projection
-step. Whatever residual survives every room is charged through the
-penalty.
+step. Whatever residual survives every room is reported as the row's
+constraint violation: balance residuals plus capacity excess. Selection
+compares raw objectives and treats that violation as a separate layer
+(lower violation wins first); no weighted penalty is added to either
+objective.
 """
 from __future__ import annotations
 
@@ -38,13 +42,10 @@ class ConstraintConfig:
     heat_slack_index: int | None = None
     loss_fixed_point_tol: float = 1e-6
     loss_fixed_point_max_iters: int = 50
-    penalty_weight: float = 1e4
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.penalty_weight < 0:
-            raise ValueError("penalty_weight must be non-negative")
         if self.loss_fixed_point_tol <= 0:
             raise ValueError("loss_fixed_point_tol must be positive")
         if self.loss_fixed_point_max_iters < 1:
@@ -53,21 +54,17 @@ class ConstraintConfig:
 
 def resolve_slack_units(system: SystemDefinition, cfg: ConstraintConfig):
     """(power slack index, heat slack index); defaults pick the largest unit."""
-    pk = cfg.power_slack_index
-    if pk is None and system.n_power:
-        pk = int(np.argmax([u.p_max for u in system.power_units]))
-    if pk is not None and not 0 <= pk < system.n_power:
-        raise ValueError(
-            f"power_slack_index {pk} out of range for {system.n_power} power unit(s)"
-        )
-    hk = cfg.heat_slack_index
-    if hk is None and system.n_heat:
-        hk = int(np.argmax([u.h_max for u in system.heat_units]))
-    if hk is not None and not 0 <= hk < system.n_heat:
-        raise ValueError(
-            f"heat_slack_index {hk} out of range for {system.n_heat} heat unit(s)"
-        )
-    return pk, hk
+    picked = []
+    for kind, k, caps in (
+            ("power", cfg.power_slack_index, [u.p_max for u in system.power_units]),
+            ("heat", cfg.heat_slack_index, [u.h_max for u in system.heat_units])):
+        if k is None and caps:
+            k = int(np.argmax(caps))
+        if k is not None and not 0 <= k < len(caps):
+            raise ValueError(
+                f"{kind}_slack_index {k} out of range for {len(caps)} {kind} unit(s)")
+        picked.append(k)
+    return tuple(picked)
 
 
 def _proportional_share(room, amount):
@@ -80,30 +77,43 @@ def _proportional_share(room, amount):
     return room * scale[:, None]
 
 
-def _cogen_heat_room(o, h, system, rows, upward):
-    """Heat headroom of each cogen output along the vertical chord of its
-    region at the current power setting."""
+def _chord_room(system, moved, fixed, rows, upward, heat):
+    """Room of each cogen unit's moved coordinate (heat when `heat`, else
+    power) along the chord of its region at the current value of the
+    fixed coordinate, clamped into the region's range of that coordinate."""
     room = np.zeros((rows.size, system.n_cogen))
     for j, u in enumerate(system.cogen_units):
-        p_lo, p_hi = u.region.power_range
+        if heat:
+            (lo, hi), chord = u.region.power_range, u.region.heat_bounds_at_power
+        else:
+            (lo, hi), chord = u.region.heat_range, u.region.power_bounds_at_heat
         for k, m in enumerate(rows):
-            b = u.region.heat_bounds_at_power(min(max(o[m, j], p_lo), p_hi))
+            b = chord(min(max(fixed[m, j], lo), hi))
             if b is not None:
-                room[k, j] = b[1] - h[m, j] if upward else h[m, j] - b[0]
+                room[k, j] = b[1] - moved[m, j] if upward else moved[m, j] - b[0]
     return np.clip(room, 0.0, None)
 
 
-def _cogen_power_room(o, h, system, rows, upward):
-    """Power headroom of each cogen output along the horizontal chord of
-    its region at the current heat setting."""
-    room = np.zeros((rows.size, system.n_cogen))
-    for j, u in enumerate(system.cogen_units):
-        h_lo, h_hi = u.region.heat_range
-        for k, m in enumerate(rows):
-            b = u.region.power_bounds_at_heat(min(max(h[m, j], h_lo), h_hi))
-            if b is not None:
-                room[k, j] = b[1] - o[m, j] if upward else o[m, j] - b[0]
-    return np.clip(room, 0.0, None)
+def _spread_leftover(leftover, out, lo, hi, k, moved, fixed, system, heat):
+    """Absorb what slack column k of `out` could not, by moving the other
+    columns of `out` within their boxes [lo, hi] and the cogen coordinate
+    `moved` along its chords, in proportion to their room. Returns the
+    largest single move."""
+    largest = 0.0
+    for sign in (1.0, -1.0):
+        rows = np.flatnonzero(sign * leftover > 0.0)
+        if rows.size == 0:
+            continue
+        upward = sign > 0
+        box = hi - out[rows] if upward else out[rows] - lo
+        box[:, k] = 0.0
+        box = np.clip(box, 0.0, None)
+        chords = _chord_room(system, moved, fixed, rows, upward, heat)
+        moves = _proportional_share(np.hstack([box, chords]), sign * leftover[rows])
+        out[rows] += sign * moves[:, :out.shape[1]]
+        moved[rows] += sign * moves[:, out.shape[1]:]
+        largest = max(largest, float(moves.max()))
+    return largest
 
 
 def _close_heat_balance(o, h, t, system, hk):
@@ -112,22 +122,9 @@ def _close_heat_balance(o, h, t, system, hk):
     u = system.heat_units[hk]
     need = system.heat_demand - h.sum(axis=1) - (t.sum(axis=1) - t[:, hk])
     t[:, hk] = np.clip(need, u.h_min, u.h_max)
-    leftover = need - t[:, hk]
-    for sign in (1.0, -1.0):
-        rows = np.flatnonzero(sign * leftover > 0.0)
-        if rows.size == 0:
-            continue
-        upward = sign > 0
-        box = np.zeros((rows.size, system.n_heat))
-        for j, hu in enumerate(system.heat_units):
-            if j == hk:
-                continue
-            box[:, j] = hu.h_max - t[rows, j] if upward else t[rows, j] - hu.h_min
-        box = np.clip(box, 0.0, None)
-        chords = _cogen_heat_room(o, h, system, rows, upward)
-        moves = _proportional_share(np.hstack([box, chords]), sign * leftover[rows])
-        t[rows] += sign * moves[:, :system.n_heat]
-        h[rows] += sign * moves[:, system.n_heat:]
+    lo = np.array([hu.h_min for hu in system.heat_units])
+    hi = np.array([hu.h_max for hu in system.heat_units])
+    _spread_leftover(need - t[:, hk], t, lo, hi, hk, h, o, system, heat=True)
 
 
 def _close_power_balance(p, o, h, system, pk, cfg):
@@ -135,6 +132,8 @@ def _close_power_balance(p, o, h, system, pk, cfg):
     what the slack cannot absorb; with loss active this is a fixed point
     because the loss itself moves with the outputs."""
     u = system.power_units[pk]
+    lo = np.array([pu.p_min for pu in system.power_units])
+    hi = np.array([pu.p_max for pu in system.power_units])
     delta = np.inf
     for _ in range(cfg.loss_fixed_point_max_iters):
         others = p.sum(axis=1) - p[:, pk] + o.sum(axis=1)
@@ -142,24 +141,8 @@ def _close_power_balance(p, o, h, system, pk, cfg):
         new = np.clip(need, u.p_min, u.p_max)
         delta = float(np.abs(new - p[:, pk]).max())
         p[:, pk] = new
-        leftover = need - new
-        for sign in (1.0, -1.0):
-            rows = np.flatnonzero(sign * leftover > 0.0)
-            if rows.size == 0:
-                continue
-            upward = sign > 0
-            box = np.zeros((rows.size, system.n_power))
-            for j, pu in enumerate(system.power_units):
-                if j == pk:
-                    continue
-                box[:, j] = pu.p_max - p[rows, j] if upward else p[rows, j] - pu.p_min
-            box = np.clip(box, 0.0, None)
-            chords = _cogen_power_room(o, h, system, rows, upward)
-            moves = _proportional_share(np.hstack([box, chords]), sign * leftover[rows])
-            p[rows] += sign * moves[:, :system.n_power]
-            o[rows] += sign * moves[:, system.n_power:]
-            if moves.size:
-                delta = max(delta, float(moves.max()))
+        delta = max(delta, _spread_leftover(need - new, p, lo, hi, pk, o, h,
+                                            system, heat=False))
         if not system.loss_enabled or delta < 1e-14:
             break
     if system.loss_enabled and delta > cfg.loss_fixed_point_tol:
@@ -213,16 +196,15 @@ def repair(x: DispatchVector, system: SystemDefinition,
 class PopulationEval:
     """Evaluation of a gene batch after constraint handling.
 
-    cost/emission are the raw objective values of the (possibly repaired)
-    dispatches; penalized_* add the weighted constraint violation and are
-    what selection should compare.
+    genes are the (possibly repaired) dispatches and cost/emission their
+    raw objective values. violation is the absolute power and heat balance
+    residuals plus the capacity excess; the engines compare it as a layer
+    ahead of the objectives, so nothing is folded into cost or emission.
     """
     genes: np.ndarray
     cost: np.ndarray
     emission: np.ndarray
     violation: np.ndarray
-    penalized_cost: np.ndarray
-    penalized_emission: np.ndarray
 
 
 def evaluate_batch(genes: np.ndarray, system: SystemDefinition,
@@ -239,20 +221,5 @@ def evaluate_batch(genes: np.ndarray, system: SystemDefinition,
     h_res = h.sum(axis=1) + t.sum(axis=1) - system.heat_demand
     violation = np.abs(p_res) + np.abs(h_res) \
         + capacity_violation_batch(p, o, h, t, system)
-    penalty = cfg.penalty_weight * violation
-    return PopulationEval(
-        genes=g,
-        cost=cost,
-        emission=emission,
-        violation=violation,
-        penalized_cost=cost + penalty,
-        penalized_emission=emission + penalty,
-    )
-
-
-def penalized_objectives(x: DispatchVector, system: SystemDefinition,
-                         cfg: ConstraintConfig) -> tuple[float, float, float]:
-    """(penalized cost, penalized emission, violation) for one dispatch."""
-    ev = evaluate_batch(x.to_genes()[None, :], system, cfg)
-    return float(ev.penalized_cost[0]), float(ev.penalized_emission[0]), \
-        float(ev.violation[0])
+    return PopulationEval(genes=g, cost=cost, emission=emission,
+                          violation=violation)

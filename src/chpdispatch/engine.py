@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constraints import ConstraintConfig, evaluate_batch
-from .model import DispatchVector, SystemDefinition
+from .model import SystemDefinition
 
 FEASIBILITY_TOL = 1e-9
 _ALGORITHMS = ("IDBEA", "IBEA", "NSGA2")
@@ -78,16 +78,6 @@ class EngineConfig:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}")
 
 
-@dataclass
-class Individual:
-    genes: DispatchVector
-    objectives: tuple
-    violation: float = 0.0
-    fitness: float = 0.0
-    crowding: float = 0.0
-    rank: int = -1
-
-
 @dataclass(frozen=True, eq=False)
 class FrontArchive:
     """Mutually non-dominated result set of one engine run."""
@@ -109,7 +99,7 @@ class FrontArchive:
 
 
 # ---------------------------------------------------------------------------
-# Dominance and hypervolume primitives.
+# Dominance primitives.
 # ---------------------------------------------------------------------------
 
 def _effective_violation(v):
@@ -126,11 +116,8 @@ def dominates(a, b, violation_a: float = 0.0, violation_b: float = 0.0) -> bool:
     bv = np.asarray(b, float).ravel()
     if av.shape != bv.shape:
         raise ValueError(f"objective dimensions differ: {av.shape} vs {bv.shape}")
-    va = float(_effective_violation(violation_a))
-    vb = float(_effective_violation(violation_b))
-    if va != vb:
-        return va < vb
-    return bool(np.all(av <= bv) and np.any(av < bv))
+    viol = np.array([violation_a, violation_b], float)
+    return bool(_domination_matrix(np.vstack([av, bv]), viol)[0, 1])
 
 
 def _domination_matrix(objs: np.ndarray, viol: np.ndarray) -> np.ndarray:
@@ -146,45 +133,6 @@ def _domination_matrix(objs: np.ndarray, viol: np.ndarray) -> np.ndarray:
     v_lt = v[:, None] < v[None, :]
     v_eq = v[:, None] == v[None, :]
     return v_lt | (v_eq & pareto)
-
-
-def hypervolume_2d(points, ref=(1.1, 1.1)) -> float:
-    """Exact area dominated by a 2-D minimization point set within the
-    reference box, by sweep over the cost axis."""
-    pts = np.asarray(points, float)
-    if pts.size == 0:
-        return 0.0
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != 2:
-        raise ValueError("hypervolume_2d expects points with 2 objectives")
-    rx, ry = float(ref[0]), float(ref[1])
-    pts = pts[(pts[:, 0] < rx) & (pts[:, 1] < ry)]
-    if pts.shape[0] == 0:
-        return 0.0
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    area = 0.0
-    prev_y = ry
-    for x, y in pts[order]:
-        if y < prev_y:
-            area += (rx - x) * (prev_y - y)
-            prev_y = y
-    return area
-
-
-def indicator_ihd(a_set, b_set, ref=(1.1, 1.1)) -> float:
-    """Binary hypervolume indicator I(A, B): the volume by which B would
-    have to shrink the advantage of A. When A weakly dominates B the value
-    is IH(B) - IH(A) (non-positive); otherwise the volume dominated by B
-    but not by A."""
-    a = np.atleast_2d(np.asarray(a_set, float))
-    b = np.atleast_2d(np.asarray(b_set, float))
-    hv_a = hypervolume_2d(a, ref)
-    covered = all(
-        any(np.all(row_a <= row_b) for row_a in a) for row_b in b
-    )
-    if covered:
-        return hypervolume_2d(b, ref) - hv_a
-    return hypervolume_2d(np.vstack([a, b]), ref) - hv_a
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +279,7 @@ def _crowding_truncate(objs: np.ndarray, viol: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Variation operators (array level).
+# Variation operators and the binary tournament.
 # ---------------------------------------------------------------------------
 
 def _sbx_pair(a, b, lower, upper, cfg: EngineConfig, rng):
@@ -363,106 +311,16 @@ def _pm_genes(x, lower, upper, cfg: EngineConfig, rng, pm_prob: float):
     return np.clip(y, lower, upper)
 
 
-def _tournament_idx(fitness: np.ndarray, veff: np.ndarray, rng) -> int:
-    """Binary tournament: feasible beats infeasible, lower violation beats
-    higher, then lower fitness; exact ties keep the first draw."""
-    i, j = rng.integers(0, fitness.shape[0], size=2)
+def _tournament_idx(primary: np.ndarray, secondary: np.ndarray, rng) -> int:
+    """Binary tournament on the key (primary, secondary), lower winning:
+    (violation, fitness) for the indicator loop, (rank, -crowding) for
+    NSGA2. Exact ties keep the first draw."""
+    i, j = rng.integers(0, primary.shape[0], size=2)
     i, j = int(i), int(j)
-    if veff[j] < veff[i]:
+    if primary[j] < primary[i] or (primary[j] == primary[i]
+                                   and secondary[j] < secondary[i]):
         return j
-    if veff[i] < veff[j]:
-        return i
-    return i if fitness[i] <= fitness[j] else j
-
-
-# ---------------------------------------------------------------------------
-# Public wrappers on Individual lists.
-# ---------------------------------------------------------------------------
-
-def _objs_of(pop) -> np.ndarray:
-    return np.array([ind.objectives for ind in pop], float)
-
-
-def assign_fitness(pop: list, cfg: EngineConfig) -> list:
-    if len(pop) < 2:
-        raise ValueError("fitness assignment needs at least 2 individuals")
-    fit, _ = _indicator_fitness(_objs_of(pop), cfg.kappa)
-    for ind, f in zip(pop, fit):
-        ind.fitness = float(f)
-    return pop
-
-
-def environmental_selection(pool: list, cfg: EngineConfig) -> list:
-    n_keep = cfg.population_size
-    if len(pool) < n_keep:
-        raise ValueError(f"pool of {len(pool)} cannot fill {n_keep} slots")
-    if len(pool) == n_keep:
-        return list(pool)
-    viol = np.array([ind.violation for ind in pool], float)
-    alive, fit, _ = _env_select(_objs_of(pool), viol, n_keep, cfg.kappa)
-    for i in alive:
-        pool[i].fitness = float(fit[i])
-    return [pool[i] for i in alive]
-
-
-def crowding_distance(front: list) -> list:
-    if not front:
-        raise ValueError("crowding distance needs at least 1 individual")
-    dist = _crowding(_objs_of(front))
-    for ind, d in zip(front, dist):
-        ind.crowding = float(d)
-    return front
-
-
-def binary_tournament(archive: list, rng) -> Individual:
-    i, j = rng.integers(0, len(archive), size=2)
-    a, b = archive[int(i)], archive[int(j)]
-    va = a.violation if a.violation > FEASIBILITY_TOL else 0.0
-    vb = b.violation if b.violation > FEASIBILITY_TOL else 0.0
-    if vb < va:
-        return b
-    if va < vb:
-        return a
-    return a if a.fitness <= b.fitness else b
-
-
-def nondominated_sort(pop: list) -> list:
-    objs = _objs_of(pop)
-    viol = np.array([ind.violation for ind in pop], float)
-    fronts = _fast_nds(objs, viol)
-    for rank, idx in enumerate(fronts):
-        for i in idx:
-            pop[i].rank = rank
-    return [[pop[i] for i in idx] for idx in fronts]
-
-
-def _dv_like(template: DispatchVector, genes: np.ndarray) -> DispatchVector:
-    n_p, n_c = template.p.shape[0], template.o.shape[0]
-    return DispatchVector(
-        p=genes[:n_p],
-        o=genes[n_p:n_p + n_c],
-        h=genes[n_p + n_c:n_p + 2 * n_c],
-        t=genes[n_p + 2 * n_c:],
-    )
-
-
-def sbx_crossover(p1: DispatchVector, p2: DispatchVector, bounds,
-                  cfg: EngineConfig, rng):
-    lower = np.asarray(bounds[0], float)
-    upper = np.asarray(bounds[1], float)
-    c1, c2 = _sbx_pair(p1.to_genes(), p2.to_genes(), lower, upper, cfg, rng)
-    return _dv_like(p1, c1), _dv_like(p1, c2)
-
-
-def polynomial_mutation(x: DispatchVector, bounds, cfg: EngineConfig, rng,
-                        ) -> DispatchVector:
-    genes = x.to_genes()
-    lower = np.asarray(bounds[0], float)
-    upper = np.asarray(bounds[1], float)
-    pm_prob = cfg.mutation_prob
-    if pm_prob is None:
-        pm_prob = 1.0 / genes.shape[0]
-    return _dv_like(x, _pm_genes(genes, lower, upper, cfg, rng, pm_prob))
+    return i
 
 
 def _fast_nds(objs: np.ndarray, viol: np.ndarray) -> list:
@@ -527,25 +385,40 @@ def _spawn_children(arch_genes, pick_parent, lower, upper, ecfg, rng,
     return children
 
 
-def _indicator_loop(system, ecfg, ccfg, mode) -> FrontArchive:
+def _setup(system, ecfg, ccfg, mode):
+    """The start both loops share: a generator seeded from ecfg.rng_seed
+    draws a random first population in the gene box, which is evaluated.
+    Returns (breed, (genes, objectives, violations) of that population);
+    breed(parents, pick_parent) spawns N children by tournament, SBX and
+    polynomial mutation (rate 1 / n_genes unless configured) and returns
+    them evaluated the same way."""
     rng = np.random.default_rng(ecfg.rng_seed)
     lower, upper = system.gene_bounds()
-    n = ecfg.population_size
     n_objs = 1 if mode == "chped" else 2
     pm_prob = ecfg.mutation_prob
     if pm_prob is None:
         pm_prob = 1.0 / system.n_genes
-    crowd = ecfg.algorithm == "IDBEA" and n_objs == 2
+
+    def evaluated(genes):
+        ev = evaluate_batch(genes, system, ccfg)
+        return ev.genes, _raw_objs(ev, n_objs), ev.violation
+
+    def breed(parents, pick_parent):
+        return evaluated(_spawn_children(parents, pick_parent, lower, upper,
+                                         ecfg, rng, pm_prob))
+
+    genes = rng.random((ecfg.population_size, system.n_genes)) \
+        * (upper - lower) + lower
+    return breed, evaluated(genes)
+
+
+def _indicator_loop(system, ecfg, ccfg, mode) -> FrontArchive:
+    breed, (p_genes, p_objs, p_viol) = _setup(system, ecfg, ccfg, mode)
+    n = ecfg.population_size
+    crowd = ecfg.algorithm == "IDBEA" and p_objs.shape[1] == 2
     n_pool = int(np.ceil(n / ecfg.archive_keep_fraction)) if crowd else n
-
-    genes = rng.random((n, system.n_genes)) * (upper - lower) + lower
-    ev = evaluate_batch(genes, system, ccfg)
-    p_genes, p_objs, p_viol = ev.genes, _raw_objs(ev, n_objs), ev.violation
     evals = n
-
-    a_genes = np.empty((0, system.n_genes))
-    a_objs = np.empty((0, n_objs))
-    a_viol = np.empty(0)
+    a_genes, a_objs, a_viol = p_genes[:0], p_objs[:0], p_viol[:0]
 
     while True:
         q_genes = np.vstack([p_genes, a_genes])
@@ -566,61 +439,39 @@ def _indicator_loop(system, ecfg, ccfg, mode) -> FrontArchive:
             return _make_front(a_genes, a_objs, a_viol, system, ecfg,
                                ecfg.rng_seed, evals)
 
-        children = _spawn_children(
-            a_genes, lambda r: _tournament_idx(a_fit, a_veff, r), lower,
-            upper, ecfg, rng, pm_prob)
-        ev = evaluate_batch(children, system, ccfg)
-        p_genes, p_objs = ev.genes, _raw_objs(ev, n_objs)
-        p_viol = ev.violation
+        p_genes, p_objs, p_viol = breed(
+            a_genes, lambda r: _tournament_idx(a_veff, a_fit, r))
         evals += n
 
 
-def _crowding_by_front(objs: np.ndarray, fronts: list) -> np.ndarray:
-    dist = np.zeros(objs.shape[0])
-    for idx in fronts:
-        dist[idx] = _crowding(objs[idx])
-    return dist
-
-
-def _rank_crowd_tournament(ranks, crowd, rng) -> int:
-    i, j = rng.integers(0, ranks.shape[0], size=2)
-    i, j = int(i), int(j)
-    if ranks[j] < ranks[i] or (ranks[j] == ranks[i] and crowd[j] > crowd[i]):
-        return j
-    return i
+def _ranks_and_crowding(objs: np.ndarray, viol: np.ndarray):
+    """Constraint-aware fronts, plus each row's front rank and its
+    crowding distance within its front."""
+    fronts = _fast_nds(objs, viol)
+    ranks = np.empty(objs.shape[0], dtype=np.int64)
+    crowd = np.zeros(objs.shape[0])
+    for r, idx in enumerate(fronts):
+        ranks[idx] = r
+        crowd[idx] = _crowding(objs[idx])
+    return fronts, ranks, crowd
 
 
 def _nsga2_loop(system, ecfg, ccfg, mode) -> FrontArchive:
-    rng = np.random.default_rng(ecfg.rng_seed)
-    lower, upper = system.gene_bounds()
+    breed, (p_genes, p_objs, p_viol) = _setup(system, ecfg, ccfg, mode)
     n = ecfg.population_size
-    n_objs = 1 if mode == "chped" else 2
-    pm_prob = ecfg.mutation_prob
-    if pm_prob is None:
-        pm_prob = 1.0 / system.n_genes
-
-    genes = rng.random((n, system.n_genes)) * (upper - lower) + lower
-    ev = evaluate_batch(genes, system, ccfg)
-    p_genes, p_objs, p_viol = ev.genes, _raw_objs(ev, n_objs), ev.violation
     evals = n
-    fronts = _fast_nds(p_objs, p_viol)
-    ranks = np.empty(n, dtype=np.int64)
-    for r, idx in enumerate(fronts):
-        ranks[idx] = r
-    crowd = _crowding_by_front(p_objs, fronts)
+    _, ranks, crowd = _ranks_and_crowding(p_objs, p_viol)
 
     while evals < ecfg.max_evaluations:
-        children = _spawn_children(
-            p_genes, lambda r: _rank_crowd_tournament(ranks, crowd, r),
-            lower, upper, ecfg, rng, pm_prob)
-        ev = evaluate_batch(children, system, ccfg)
+        neg_crowd = -crowd
+        c_genes, c_objs, c_viol = breed(
+            p_genes, lambda r: _tournament_idx(ranks, neg_crowd, r))
         evals += n
 
-        r_genes = np.vstack([p_genes, ev.genes])
-        r_objs = np.vstack([p_objs, _raw_objs(ev, n_objs)])
-        r_viol = np.concatenate([p_viol, ev.violation])
-        r_fronts = _fast_nds(r_objs, r_viol)
-        r_crowd = _crowding_by_front(r_objs, r_fronts)
+        r_genes = np.vstack([p_genes, c_genes])
+        r_objs = np.vstack([p_objs, c_objs])
+        r_viol = np.concatenate([p_viol, c_viol])
+        r_fronts, r_ranks, r_crowd = _ranks_and_crowding(r_objs, r_viol)
 
         chosen: list[int] = []
         for idx in r_fronts:
@@ -633,10 +484,7 @@ def _nsga2_loop(system, ecfg, ccfg, mode) -> FrontArchive:
                 break
         pick = np.array(chosen)
         p_genes, p_objs, p_viol = r_genes[pick], r_objs[pick], r_viol[pick]
-        rank_of = np.empty(r_objs.shape[0], dtype=np.int64)
-        for r, idx in enumerate(r_fronts):
-            rank_of[idx] = r
-        ranks, crowd = rank_of[pick], r_crowd[pick]
+        ranks, crowd = r_ranks[pick], r_crowd[pick]
 
     return _make_front(p_genes, p_objs, p_viol, system, ecfg,
                        ecfg.rng_seed, evals)

@@ -1,5 +1,6 @@
-"""Front quality metrics: normalized hypervolume, spread, empirical
-attainment surfaces, and the Wilcoxon signed-rank test for paired runs.
+"""Front quality metrics: exact 2-D hypervolume and the binary hypervolume
+indicator, normalized hypervolume, spread, empirical attainment surfaces,
+and the Wilcoxon signed-rank test for paired runs.
 
 Normalization bounds are supplied externally (usually the componentwise
 min/max over the union of all compared fronts) so that paired comparisons
@@ -55,11 +56,48 @@ class NormalizationBounds:
         return (pts - self.lower) / (self.upper - self.lower)
 
 
+def hypervolume_2d(points, ref=HV_REFERENCE) -> float:
+    """Exact area dominated by a 2-D minimization point set within the
+    reference box, by sweep over the cost axis."""
+    pts = np.asarray(points, float)
+    if pts.size == 0:
+        return 0.0
+    pts = np.atleast_2d(pts)
+    if pts.shape[1] != 2:
+        raise ValueError("hypervolume_2d expects points with 2 objectives")
+    rx, ry = float(ref[0]), float(ref[1])
+    pts = pts[(pts[:, 0] < rx) & (pts[:, 1] < ry)]
+    if pts.shape[0] == 0:
+        return 0.0
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    area = 0.0
+    prev_y = ry
+    for x, y in pts[order]:
+        if y < prev_y:
+            area += (rx - x) * (prev_y - y)
+            prev_y = y
+    return area
+
+
+def indicator_ihd(a_set, b_set, ref=HV_REFERENCE) -> float:
+    """Binary hypervolume indicator I(A, B): the volume by which B would
+    have to shrink the advantage of A. When A weakly dominates B the value
+    is IH(B) - IH(A) (non-positive); otherwise the volume dominated by B
+    but not by A."""
+    a = np.atleast_2d(np.asarray(a_set, float))
+    b = np.atleast_2d(np.asarray(b_set, float))
+    hv_a = hypervolume_2d(a, ref)
+    covered = all(
+        any(np.all(row_a <= row_b) for row_a in a) for row_b in b
+    )
+    if covered:
+        return hypervolume_2d(b, ref) - hv_a
+    return hypervolume_2d(np.vstack([a, b]), ref) - hv_a
+
+
 def hv_metric(front, bounds: NormalizationBounds) -> float:
     """Hypervolume of the normalized front against reference (1.1, 1.1).
     Points falling outside the unit box after normalization are discarded."""
-    from .engine import hypervolume_2d
-
     pts = _points_of(front)
     if pts.shape[0] == 0:
         return 0.0

@@ -331,13 +331,15 @@ def transmission_loss(x: DispatchVector, system: SystemDefinition) -> float:
     return float(loss_batch(x.p[None, :], x.o[None, :], system)[0])
 
 
-def balance_residuals(x: DispatchVector, system: SystemDefinition) -> tuple[float, float]:
-    """(power residual, heat residual); both zero for a feasible dispatch."""
-    _check_dims(x, system)
-    p_l = transmission_loss(x, system)
+def _residuals(x: DispatchVector, system: SystemDefinition, p_l: float):
     power_res = float(x.p.sum() + x.o.sum() - system.power_demand - p_l)
     heat_res = float(x.h.sum() + x.t.sum() - system.heat_demand)
     return power_res, heat_res
+
+
+def balance_residuals(x: DispatchVector, system: SystemDefinition) -> tuple[float, float]:
+    """(power residual, heat residual); both zero for a feasible dispatch."""
+    return _residuals(x, system, transmission_loss(x, system))
 
 
 def capacity_violation(x: DispatchVector, system: SystemDefinition) -> float:
@@ -348,11 +350,12 @@ def capacity_violation(x: DispatchVector, system: SystemDefinition) -> float:
 
 
 def evaluate(x: DispatchVector, system: SystemDefinition) -> Evaluation:
-    p_res, h_res = balance_residuals(x, system)
+    loss = transmission_loss(x, system)
+    p_res, h_res = _residuals(x, system, loss)
     return Evaluation(
         cost=total_cost(x, system),
         emission=total_emission(x, system),
-        loss=transmission_loss(x, system),
+        loss=loss,
         power_residual=p_res,
         heat_residual=h_res,
         capacity_violation=capacity_violation(x, system),
@@ -378,12 +381,24 @@ _HEAT_KEYS = {
 }
 
 
+def _require_finite(label: str, value) -> None:
+    try:
+        finite = bool(np.all(np.isfinite(np.asarray(value, float))))
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise SystemLoadError(f"{label} must be finite")
+
+
 def _build_unit(entry: dict, allowed: set, cls, label: str):
     if not isinstance(entry, dict):
         raise SystemLoadError(f"{label} entry must be an object")
     unknown = set(entry) - allowed
     if unknown:
         raise SystemLoadError(f"{label} has unknown field(s): {sorted(unknown)}")
+    for key, value in entry.items():
+        if key != "region":
+            _require_finite(f"{label}.{key}", value)
     kwargs = dict(entry)
     if "region" in kwargs:
         try:
@@ -418,6 +433,8 @@ def load_system(path_or_name) -> SystemDefinition:
     demand = data.get("demand")
     if not isinstance(demand, dict) or "power" not in demand or "heat" not in demand:
         raise SystemLoadError("demand section must provide 'power' and 'heat'")
+    for key in ("power", "heat"):
+        _require_finite(f"demand.{key}", demand[key])
 
     power_units = tuple(
         _build_unit(e, _POWER_KEYS, PowerOnlyUnit, f"power_units[{i}]")
@@ -440,13 +457,15 @@ def load_system(path_or_name) -> SystemDefinition:
                 raise SystemLoadError(f"loss section is enabled but missing '{key}'")
         scale_b = float(loss_entry.get("scale_b", 1.0))
         scale_b0 = float(loss_entry.get("scale_b0", 1.0))
+        with np.errstate(over="ignore"):
+            b = np.asarray(loss_entry["b"], float) * scale_b
+            b0 = np.asarray(loss_entry["b0"], float) * scale_b0
+        b00 = float(loss_entry["b00"])
+        # after scaling, so an overflowing scale is caught too
+        for key, value in (("b", b), ("b0", b0), ("b00", b00)):
+            _require_finite(f"loss {key}", value)
         try:
-            loss = LossModel(
-                b_matrix=np.asarray(loss_entry["b"], float) * scale_b,
-                b0_vector=np.asarray(loss_entry["b0"], float) * scale_b0,
-                b00=float(loss_entry["b00"]),
-                enabled=True,
-            )
+            loss = LossModel(b_matrix=b, b0_vector=b0, b00=b00, enabled=True)
         except ValueError as exc:
             raise SystemLoadError(f"loss: {exc}") from exc
 

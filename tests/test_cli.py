@@ -11,6 +11,7 @@ from chpdispatch import (ConstraintConfig, EngineConfig, ExperimentConfig,
                          NormalizationBounds, SystemLoadError, eaf_surfaces,
                          emit_reports, hv_metric, load_experiment, load_system,
                          run_experiment, select_compromise, spread_delta)
+from chpdispatch import cli
 from chpdispatch.cli import _read_front_csv, main
 from chpdispatch.model import cost_batch, emission_batch, loss_batch
 
@@ -111,6 +112,14 @@ class TestLoadExperiment:
     def test_bad_constraints_section(self, tmp_path):
         path = _write_exp(tmp_path, constraints={"bogus": 1})
         with pytest.raises(SystemLoadError, match="constraints section:"):
+            load_experiment(path)
+
+    def test_penalty_weight_rejected(self, tmp_path):
+        # the weight was never read by any solver; an experiment file that
+        # still sets it is refused rather than silently ignored
+        path = _write_exp(tmp_path, constraints={"penalty_weight": 1e4})
+        with pytest.raises(SystemLoadError,
+                           match="constraints section:.*penalty_weight"):
             load_experiment(path)
 
     def test_bad_algorithm_entry_names_index(self, tmp_path):
@@ -480,6 +489,20 @@ class TestEmitReports:
         with pytest.raises(SystemLoadError, match="manifest not found"):
             emit_reports(tmp_path)
 
+    def test_each_front_read_once(self, paired_reports, monkeypatch):
+        exp_dir, _ = paired_reports
+        reads = []
+
+        def counted(path, *args):
+            reads.append(path)
+            return _read_front_csv(path, *args)
+
+        monkeypatch.setattr(cli, "_read_front_csv", counted)
+        emit_reports(exp_dir)
+        fronts = sorted(exp_dir.glob("*/*_seed*.csv"))
+        assert len(fronts) == 6
+        assert sorted(reads) == fronts
+
 
 class TestMain:
     def test_run_subcommand(self, tmp_path, monkeypatch, capsys):
@@ -539,6 +562,21 @@ class TestMain:
         assert main(["eaf", str(exp_dir), "--levels", "50"]) == 0
         out = capsys.readouterr().out
         assert "eaf_IDBEA_50.csv" in out and "eaf_IBEA_50.csv" in out
+
+    def test_eaf_subcommand_writes_what_report_writes(self, paired_reports,
+                                                      tmp_path, capsys):
+        exp_dir, _ = paired_reports
+        work = tmp_path / "copy"
+        shutil.copytree(exp_dir, work)
+        from_report = {p.name: p.read_bytes() for p in emit_reports(work)
+                       if p.name.startswith("eaf_")}
+        for name in from_report:
+            (work / name).unlink()
+        assert main(["eaf", str(work), "--levels", "25,50,75"]) == 0
+        capsys.readouterr()
+        from_eaf = {p.name: p.read_bytes() for p in work.glob("eaf_*.csv")}
+        assert len(from_report) == 6
+        assert from_eaf == from_report
 
     def test_eaf_rejects_empty_levels(self, paired_reports, capsys):
         exp_dir, _ = paired_reports

@@ -9,14 +9,14 @@ from chpdispatch import (
     balance_residuals,
     capacity_violation,
     load_system,
-    penalized_objectives,
     repair,
     repair_batch,
     total_cost,
     total_emission,
 )
 from chpdispatch.constraints import evaluate_batch, resolve_slack_units
-from chpdispatch.model import capacity_violation_batch, loss_batch
+from chpdispatch.model import (capacity_violation_batch, cost_batch,
+                               emission_batch, loss_batch)
 
 import oracles
 
@@ -31,13 +31,6 @@ class TestConfig:
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode must be one of"):
             ConstraintConfig(mode="clip")
-
-    def test_negative_penalty_weight(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            ConstraintConfig(penalty_weight=-1.0)
-
-    def test_zero_penalty_weight_allowed(self):
-        assert ConstraintConfig(penalty_weight=0.0).penalty_weight == 0.0
 
     def test_bad_fixed_point_settings(self):
         with pytest.raises(ValueError, match="tol"):
@@ -206,23 +199,32 @@ class TestSaturation:
         assert h_res > 1.0
 
 
+def _evaluate_one(vec, system, cfg):
+    """(cost, emission, violation) of one dispatch through the batch path."""
+    ev = evaluate_batch(vec.to_genes()[None, :], system, cfg)
+    return float(ev.cost[0]), float(ev.emission[0]), float(ev.violation[0])
+
+
 class TestPenalty:
     def test_feasible_objectives_unchanged(self):
         system = load_system("system1")
         vec = DispatchVector(p=[0.0], o=[160.0, 40.0], h=[40.0, 75.0], t=[0.0])
-        cost, emission, viol = penalized_objectives(vec, system, ConstraintConfig())
+        cost, emission, viol = _evaluate_one(vec, system, ConstraintConfig())
         assert viol == 0.0
         assert cost == total_cost(vec, system)
         assert emission == total_emission(vec, system)
 
     def test_linear_penalty_composition(self):
+        # the 5 MW excess enters the violation linearly; the objectives
+        # stay the raw ones, since selection compares the violation as a
+        # separate layer instead of adding it to cost or emission
         system = load_system("system1")
-        cfg = ConstraintConfig(mode="penalty_only", penalty_weight=1000.0)
+        cfg = ConstraintConfig(mode="penalty_only")
         vec = DispatchVector(p=[5.0], o=[160.0, 40.0], h=[40.0, 75.0], t=[0.0])
-        cost, emission, viol = penalized_objectives(vec, system, cfg)
+        cost, emission, viol = _evaluate_one(vec, system, cfg)
         assert viol == pytest.approx(5.0, abs=1e-12)
-        assert cost == pytest.approx(total_cost(vec, system) + 5000.0, abs=1e-9)
-        assert emission == pytest.approx(total_emission(vec, system) + 5000.0, abs=1e-9)
+        assert cost == total_cost(vec, system)
+        assert emission == total_emission(vec, system)
 
     def test_penalty_only_mode_keeps_genes(self):
         system = load_system("system2")
@@ -241,7 +243,7 @@ class TestPenalty:
         assert p_res == pytest.approx(-33.1, abs=1e-9)
         assert h_res == pytest.approx(3.0, abs=1e-9)
         assert capacity_violation(vec, system) == 0.0
-        _, _, viol = penalized_objectives(vec, system, cfg)
+        _, _, viol = _evaluate_one(vec, system, cfg)
         assert viol == pytest.approx(36.1, abs=1e-9)
         # Setpoints are table-rounded to 0.1 MW; with cost slopes around
         # 25 $/MW that bounds the reconstruction error near 1.3 $.
@@ -252,7 +254,7 @@ class TestPenalty:
         g = _random_genes(system, 20, 12)
         cfg = ConstraintConfig()
         ev = evaluate_batch(g, system, cfg)
-        assert np.allclose(ev.penalized_cost, ev.cost + cfg.penalty_weight * ev.violation)
-        assert np.allclose(ev.penalized_emission,
-                           ev.emission + cfg.penalty_weight * ev.violation)
+        p, o, h, t = system.split_genes(ev.genes)
+        assert np.array_equal(ev.cost, cost_batch(p, o, h, t, system))
+        assert np.array_equal(ev.emission, emission_batch(p, o, h, t, system))
         assert np.all(ev.violation >= 0.0)

@@ -4,50 +4,38 @@ import numpy as np
 import pytest
 
 from chpdispatch import (
-    DispatchVector,
+    ConstraintConfig,
     EngineConfig,
     FrontArchive,
-    Individual,
-    assign_fitness,
-    binary_tournament,
-    crowding_distance,
     dominates,
-    environmental_selection,
     hypervolume_2d,
     ibea_run,
     idbea_run,
     indicator_ihd,
     load_system,
-    nondominated_sort,
     nsga2_run,
-    polynomial_mutation,
     run,
-    sbx_crossover,
 )
+from chpdispatch import engine
+from chpdispatch.constraints import evaluate_batch
 from chpdispatch.engine import (
     _crowding,
     _crowding_truncate,
+    _effective_violation,
     _env_select,
+    _fast_nds,
     _indicator_fitness,
     _make_front,
     _pm_genes,
+    _ranks_and_crowding,
     _sbx_pair,
+    _setup,
     _tournament_idx,
 )
 
 import oracles
 
-
-def _pop(objectives, violations=None):
-    """Individuals with bare objective tuples; genes are not touched by the
-    selection-level routines."""
-    objs = np.atleast_2d(np.asarray(objectives, float))
-    if violations is None:
-        violations = np.zeros(objs.shape[0])
-    return [
-        Individual(genes=None, objectives=tuple(row), violation=float(v))
-        for row, v in zip(objs, violations)
-    ]
+KAPPA = EngineConfig().kappa
 
 
 def _cfg(**kw):
@@ -206,56 +194,43 @@ class TestIndicator:
 
 
 class TestFitness:
-    def test_needs_at_least_two(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            assign_fitness(_pop([(0.5, 0.5)]), _cfg())
-
     def test_identical_individuals_equal_fitness(self):
-        pop = _pop([(0.4, 0.6), (0.4, 0.6), (0.4, 0.6), (0.1, 0.9)])
-        assign_fitness(pop, _cfg())
-        assert pop[0].fitness == pytest.approx(pop[1].fitness, rel=1e-12)
-        assert pop[1].fitness == pytest.approx(pop[2].fitness, rel=1e-12)
+        objs = np.array([(0.4, 0.6), (0.4, 0.6), (0.4, 0.6), (0.1, 0.9)])
+        fit, _ = _indicator_fitness(objs, KAPPA)
+        assert fit[0] == pytest.approx(fit[1], rel=1e-12)
+        assert fit[1] == pytest.approx(fit[2], rel=1e-12)
 
     def test_dominated_by_both_has_largest_fitness(self):
-        pop = _pop([(0.2, 0.3), (0.3, 0.2), (0.8, 0.9)])
-        assign_fitness(pop, _cfg())
-        fits = [ind.fitness for ind in pop]
-        assert np.argmax(fits) == 2
+        fit, _ = _indicator_fitness(
+            np.array([(0.2, 0.3), (0.3, 0.2), (0.8, 0.9)]), KAPPA)
+        assert np.argmax(fit) == 2
 
     def test_invariant_under_affine_rescaling(self):
         rng = np.random.default_rng(31)
         objs = rng.random((25, 2))
-        base = _pop(objs)
-        scaled = _pop(objs * np.array([3.5e3, 0.02]) + np.array([100.0, 7.0]))
-        assign_fitness(base, _cfg())
-        assign_fitness(scaled, _cfg())
+        base, _ = _indicator_fitness(objs, KAPPA)
+        scaled, _ = _indicator_fitness(
+            objs * np.array([3.5e3, 0.02]) + np.array([100.0, 7.0]), KAPPA)
         for a, b in zip(base, scaled):
-            assert a.fitness == pytest.approx(b.fitness, rel=1e-9)
+            assert a == pytest.approx(b, rel=1e-9)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(43)
         for _ in range(40):
             n = int(rng.integers(2, 26))
             objs = rng.random((n, 2))
-            pop = _pop(objs)
-            assign_fitness(pop, _cfg())
+            got, _ = _indicator_fitness(objs, KAPPA)
             want = oracles.fitness_bruteforce(objs)
-            got = np.array([ind.fitness for ind in pop])
             # exp terms reach ~1e8, so the comparison has to be relative
             assert np.allclose(got, want, rtol=1e-9)
 
 
 class TestEnvironmentalSelection:
     def test_pool_matching_slots_is_returned_unchanged(self):
-        pop = _pop(np.random.default_rng(1).random((6, 2)))
-        out = environmental_selection(pop, _cfg(population_size=6,
-                                                max_evaluations=6))
-        assert out == pop
-
-    def test_pool_too_small(self):
-        pop = _pop([(0.1, 0.2), (0.2, 0.1)])
-        with pytest.raises(ValueError, match="cannot fill"):
-            environmental_selection(pop, _cfg())
+        objs = np.random.default_rng(1).random((6, 2))
+        alive, _, removed = _env_select(objs, np.zeros(6), 6, KAPPA)
+        assert alive.tolist() == list(range(6))
+        assert removed == []
 
     def test_incremental_update_matches_recomputation(self):
         rng = np.random.default_rng(67)
@@ -312,17 +287,12 @@ class TestEnvironmentalSelection:
 
     def test_duplicate_heavy_pool_keeps_distinct_nondominated(self):
         nd = [(0.05, 0.9), (0.5, 0.5), (0.9, 0.05)]
-        pool = _pop(nd + [(0.8, 0.8)] * 3)
-        kept = environmental_selection(pool, _cfg(population_size=4,
-                                                  max_evaluations=4))
-        kept_objs = {ind.objectives for ind in kept}
-        assert set(nd) <= kept_objs
-
-        pool = _pop(nd + [(0.95, 0.95)] * 2 + [(0.7, 0.7)])
-        kept = environmental_selection(pool, _cfg(population_size=4,
-                                                  max_evaluations=4))
-        kept_objs = {ind.objectives for ind in kept}
-        assert set(nd) <= kept_objs
+        for pool in (nd + [(0.8, 0.8)] * 3,
+                     nd + [(0.95, 0.95)] * 2 + [(0.7, 0.7)]):
+            objs = np.array(pool)
+            kept, _, _ = _env_select(objs, np.zeros(6), 4, KAPPA)
+            kept_objs = {tuple(objs[i]) for i in kept}
+            assert set(nd) <= kept_objs
 
     def test_never_drops_nondominated_while_dominated_remains(self):
         # every 4-point multiset on a 5x5 objective grid, pruned to one
@@ -351,11 +321,10 @@ class TestCrowding:
         assert np.isinf(_crowding(np.array([[0.3, 0.4], [0.1, 0.9]]))).all()
 
     def test_three_point_example(self):
-        front = _pop([(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)])
-        crowding_distance(front)
-        assert np.isinf(front[0].crowding)
-        assert front[1].crowding == pytest.approx(2.0, rel=1e-12)
-        assert np.isinf(front[2].crowding)
+        dist = _crowding(np.array([(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)]))
+        assert np.isinf(dist[0])
+        assert dist[1] == pytest.approx(2.0, rel=1e-12)
+        assert np.isinf(dist[2])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(301)
@@ -382,41 +351,40 @@ class TestCrowding:
             assert np.array_equal(np.isinf(got), inf)
             assert np.allclose(got[~inf], want[~inf], atol=1e-12)
 
-    def test_empty_front_rejected(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            crowding_distance([])
-
 
 class TestNondominatedSort:
     def test_mutually_nondominated_is_one_front(self):
-        pop = _pop([(0.1, 0.9), (0.5, 0.5), (0.9, 0.1)])
-        fronts = nondominated_sort(pop)
+        fronts, ranks, _ = _ranks_and_crowding(
+            np.array([(0.1, 0.9), (0.5, 0.5), (0.9, 0.1)]), np.zeros(3))
         assert len(fronts) == 1
-        assert [ind.rank for ind in pop] == [0, 0, 0]
+        assert ranks.tolist() == [0, 0, 0]
 
     def test_chain_gives_singleton_fronts(self):
-        pop = _pop([(0.3, 0.3), (0.2, 0.2), (0.1, 0.1)])
-        fronts = nondominated_sort(pop)
+        fronts, ranks, _ = _ranks_and_crowding(
+            np.array([(0.3, 0.3), (0.2, 0.2), (0.1, 0.1)]), np.zeros(3))
         assert [len(f) for f in fronts] == [1, 1, 1]
-        assert [ind.rank for ind in pop] == [2, 1, 0]
+        assert ranks.tolist() == [2, 1, 0]
 
     def test_infeasible_ranked_behind_feasible(self):
-        pop = _pop([(0.5, 0.5), (0.6, 0.6), (0.0, 0.0)],
-                   violations=[0.0, 0.0, 3.0])
-        nondominated_sort(pop)
-        assert pop[2].rank > pop[0].rank
-        assert pop[2].rank > pop[1].rank
+        _, ranks, _ = _ranks_and_crowding(
+            np.array([(0.5, 0.5), (0.6, 0.6), (0.0, 0.0)]),
+            np.array([0.0, 0.0, 3.0]))
+        assert ranks[2] > ranks[0]
+        assert ranks[2] > ranks[1]
+
+    def test_crowding_is_computed_within_each_front(self):
+        objs = np.array([(1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (5.0, 5.0)])
+        _, ranks, crowd = _ranks_and_crowding(objs, np.zeros(4))
+        assert ranks.tolist() == [0, 0, 0, 1]
+        assert np.array_equal(crowd[:3], _crowding(objs[:3]))
+        assert np.isinf(crowd[3])
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(97)
         for _ in range(100):
             n = int(rng.integers(1, 51))
             objs = rng.random((n, 2)).round(2)
-            pop = _pop(objs)
-            pos = {id(ind): k for k, ind in enumerate(pop)}
-            fronts = nondominated_sort(pop)
-            got = [sorted(pos[id(ind)] for ind in front)
-                   for front in fronts]
+            got = [sorted(f.tolist()) for f in _fast_nds(objs, np.zeros(n))]
             want = [sorted(f)
                     for f in oracles.nondominated_fronts_bruteforce(objs)]
             assert got == want
@@ -455,21 +423,6 @@ class TestVariation:
             assert (c1 >= self.lower).all() and (c1 <= self.upper).all()
             assert (c2 >= self.lower).all() and (c2 <= self.upper).all()
 
-    def test_sbx_wrapper_keeps_dispatch_structure(self):
-        system = load_system("system1")
-        lower, upper = system.gene_bounds()
-        rng = np.random.default_rng(3)
-        g1 = lower + rng.random(6) * (upper - lower)
-        g2 = lower + rng.random(6) * (upper - lower)
-        p1 = DispatchVector.from_genes(g1, system)
-        p2 = DispatchVector.from_genes(g2, system)
-        c1, c2 = sbx_crossover(p1, p2, (lower, upper), _cfg(), rng)
-        for child in (c1, c2):
-            assert child.p.shape == p1.p.shape
-            assert child.o.shape == p1.o.shape
-            assert child.h.shape == p1.h.shape
-            assert child.t.shape == p1.t.shape
-
     def test_mutation_probability_zero_is_identity(self):
         rng = np.random.default_rng(4)
         x = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
@@ -504,18 +457,26 @@ class TestVariation:
         sigma = np.sqrt(0.3 * 0.7 / total)
         assert abs(rate - 0.3) < 3.0 * sigma
 
-    def test_mutation_wrapper_default_rate_is_one_over_genes(self):
+    def test_mutation_wrapper_default_rate_is_one_over_genes(self,
+                                                             monkeypatch):
+        # the loops' shared set-up hands _spawn_children the rate
         system = load_system("system1")
-        bounds = system.gene_bounds()
-        rng = np.random.default_rng(7)
-        mid = DispatchVector.from_genes(0.5 * (bounds[0] + bounds[1]),
-                                        system)
+        lower, upper = system.gene_bounds()
         cfg = _cfg()  # mutation_prob None
+        rates = []
+        monkeypatch.setattr(engine, "_spawn_children",
+                            lambda *args: rates.append(args[-1]) or args[0])
+        breed, (genes, _, _) = _setup(system, cfg, ConstraintConfig(),
+                                      "chpeed")
+        breed(genes, None)
+        (pm_prob,) = rates
+        rng = np.random.default_rng(7)
+        mid = 0.5 * (lower + upper)
         changed = 0
         total = 0
         for _ in range(3000):
-            y = polynomial_mutation(mid, bounds, cfg, rng)
-            changed += int((y.to_genes() != mid.to_genes()).sum())
+            y = _pm_genes(mid, lower, upper, cfg, rng, pm_prob)
+            changed += int((y != mid).sum())
             total += 6
         rate = changed / total
         p = 1.0 / 6.0
@@ -525,47 +486,55 @@ class TestVariation:
 
 class TestTournament:
     def test_single_individual_archive(self):
-        pop = _pop([(0.5, 0.5)])
         rng = np.random.default_rng(0)
-        assert binary_tournament(pop, rng) is pop[0]
+        assert _tournament_idx(np.zeros(1), np.zeros(1), rng) == 0
 
     def test_scripted_draws(self):
-        a, b = _pop([(0.2, 0.8), (0.1, 0.1)])
-        a.fitness, b.fitness = 1.0, 2.0
+        veff, fitness = np.zeros(2), np.array([1.0, 2.0])
         rng = _ScriptedRng([(0, 1), (1, 0), (1, 1), (0, 0)])
         # lower fitness wins either way round; equal draws return themselves
-        assert binary_tournament([a, b], rng) is a
-        assert binary_tournament([a, b], rng) is a
-        assert binary_tournament([a, b], rng) is b
-        assert binary_tournament([a, b], rng) is a
+        assert _tournament_idx(veff, fitness, rng) == 0
+        assert _tournament_idx(veff, fitness, rng) == 0
+        assert _tournament_idx(veff, fitness, rng) == 1
+        assert _tournament_idx(veff, fitness, rng) == 0
 
     def test_feasible_beats_infeasible(self):
-        a, b = _pop([(0.1, 0.1), (0.9, 0.9)], violations=[0.5, 0.0])
-        a.fitness, b.fitness = 0.0, 99.0
+        veff = _effective_violation(np.array([0.5, 0.0]))
+        fitness = np.array([0.0, 99.0])
         rng = _ScriptedRng([(0, 1), (1, 0)])
-        assert binary_tournament([a, b], rng) is b
-        assert binary_tournament([a, b], rng) is b
+        assert _tournament_idx(veff, fitness, rng) == 1
+        assert _tournament_idx(veff, fitness, rng) == 1
 
     def test_violation_below_tolerance_is_feasible(self):
-        a, b = _pop([(0.1, 0.1), (0.9, 0.9)], violations=[1e-12, 0.0])
-        a.fitness, b.fitness = 1.0, 2.0
+        veff = _effective_violation(np.array([1e-12, 0.0]))
+        fitness = np.array([1.0, 2.0])
         rng = _ScriptedRng([(1, 0)])
-        assert binary_tournament([a, b], rng) is a
+        assert _tournament_idx(veff, fitness, rng) == 0
+
+    def test_rank_then_crowding(self):
+        # NSGA2's key: lower rank wins, then larger crowding; two
+        # infinite crowding values tie and keep the first draw
+        ranks = np.array([0, 1, 0, 0])
+        neg_crowd = -np.array([0.5, 9.0, np.inf, np.inf])
+        rng = _ScriptedRng([(1, 0), (0, 1), (0, 2), (2, 0), (3, 2), (2, 3)])
+        assert [_tournament_idx(ranks, neg_crowd, rng) for _ in range(6)] \
+            == [0, 0, 2, 2, 3, 2]
 
     def test_seeded_determinism(self):
-        pop = _pop(np.random.default_rng(8).random((10, 2)))
-        assign_fitness(pop, _cfg())
-        first = [binary_tournament(pop, np.random.default_rng(99))
+        fitness, _ = _indicator_fitness(
+            np.random.default_rng(8).random((10, 2)), KAPPA)
+        veff = np.zeros(10)
+        first = [_tournament_idx(veff, fitness, np.random.default_rng(99))
                  for _ in range(1)]
         winners_a = []
         winners_b = []
         rng_a = np.random.default_rng(99)
         rng_b = np.random.default_rng(99)
         for _ in range(50):
-            winners_a.append(binary_tournament(pop, rng_a))
-            winners_b.append(binary_tournament(pop, rng_b))
+            winners_a.append(_tournament_idx(veff, fitness, rng_a))
+            winners_b.append(_tournament_idx(veff, fitness, rng_b))
         assert winners_a == winners_b
-        assert first[0] is winners_a[0]
+        assert first[0] == winners_a[0]
 
     def test_better_of_two_wins_three_quarters(self):
         # drawing both slots uniformly leaves the worse individual only the
@@ -575,10 +544,37 @@ class TestTournament:
         rng = np.random.default_rng(12345)
         n = 100000
         wins = sum(
-            _tournament_idx(fitness, veff, rng) == 0 for _ in range(n)
+            _tournament_idx(veff, fitness, rng) == 0 for _ in range(n)
         )
         sigma = np.sqrt(0.75 * 0.25 / n)
         assert abs(wins / n - 0.75) < 3.0 * sigma
+
+
+class TestSetup:
+    def test_first_population_is_the_seeded_draw_evaluated(self):
+        system = load_system("system2")
+        cfg = _cfg(population_size=6, max_evaluations=6, rng_seed=3)
+        lower, upper = system.gene_bounds()
+        draw = np.random.default_rng(3).random((6, system.n_genes)) \
+            * (upper - lower) + lower
+        ev = evaluate_batch(draw, system, ConstraintConfig())
+        for mode, cols in (("chpeed", [ev.cost, ev.emission]),
+                           ("chped", [ev.cost])):
+            _, (genes, objs, viol) = _setup(system, cfg, ConstraintConfig(),
+                                            mode)
+            assert np.array_equal(genes, ev.genes)
+            assert np.array_equal(objs, np.column_stack(cols))
+            assert np.array_equal(viol, ev.violation)
+
+    def test_configured_mutation_rate_is_passed_through(self, monkeypatch):
+        rates = []
+        monkeypatch.setattr(engine, "_spawn_children",
+                            lambda *args: rates.append(args[-1]) or args[0])
+        breed, (genes, _, _) = _setup(load_system("system1"),
+                                      _cfg(mutation_prob=0.25),
+                                      ConstraintConfig(), "chpeed")
+        breed(genes, None)
+        assert rates == [0.25]
 
 
 class TestStepEightPrune:

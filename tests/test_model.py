@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from chpdispatch import (
     total_emission,
     transmission_loss,
 )
+from chpdispatch import model
 from chpdispatch.model import (
     capacity_violation_batch,
     cost_batch,
@@ -143,6 +147,21 @@ class TestBalanceAndViolation:
         assert ev.loss == transmission_loss(vec, system)
         assert (ev.power_residual, ev.heat_residual) == balance_residuals(vec, system)
         assert ev.capacity_violation == capacity_violation(vec, system)
+
+    def test_evaluate_computes_the_loss_once(self, monkeypatch):
+        system = load_system("system3")
+        x = _random_dispatch(oracles.SYS3_BOUNDS, np.random.default_rng(12))
+        vec = _sys3_vec(x)
+        want = evaluate(vec, system)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return loss_batch(*args)
+
+        monkeypatch.setattr(model, "loss_batch", counted)
+        assert evaluate(vec, system) == want
+        assert len(calls) == 1
 
 
 class TestBatchConsistency:
@@ -281,4 +300,34 @@ class TestLoader:
             ' "cogen_units": [{"region": [[0, 0], [1, 0]]}]}'
         )
         with pytest.raises(SystemLoadError, match="at least 3"):
+            load_system(f)
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("system2", ("power_units", 0, "cost_linear"), float("nan"),
+         r"power_units\[0\]\.cost_linear must be finite"),
+        ("system2", ("demand", "power"), float("inf"),
+         r"demand\.power must be finite"),
+        ("system2", ("heat_units", 0, "h_max"), float("inf"),
+         r"heat_units\[0\]\.h_max must be finite"),
+        ("system2", ("cogen_units", 1, "cost_cross"), float("-inf"),
+         r"cogen_units\[1\]\.cost_cross must be finite"),
+        ("system2", ("cogen_units", 0, "region", 1, 0), float("nan"),
+         "region vertices must be finite"),
+        ("system3", ("loss", "b0", 2), float("nan"), "loss b0 must be finite"),
+        ("system3", ("loss", "b00"), float("inf"), "loss b00 must be finite"),
+        # finite coefficients whose scaled value overflows
+        ("system3", ("loss", "scale_b"), 1e308, "loss b must be finite"),
+    ], ids=["cost-nan", "demand-inf", "heat-bound-inf", "cogen-coeff-inf",
+            "region-nan", "loss-b0-nan", "loss-b00-inf", "loss-b-overflow"])
+    def test_non_finite_numbers_rejected(self, tmp_path, name, path, value,
+                                         message):
+        data = json.loads(resources.files("chpdispatch.data")
+                          .joinpath(f"{name}.json").read_text())
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(data))
+        with pytest.raises(SystemLoadError, match=message):
             load_system(f)
