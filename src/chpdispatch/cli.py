@@ -520,6 +520,10 @@ def _cmd_eaf(args) -> int:
         raise SystemLoadError("no attainment levels given")
     manifest = _load_manifest(exp_dir)
     fronts = _load_fronts(_discover_runs(exp_dir), manifest["system_id"])
+    if any(f.objectives.shape[1] != 2 for runs in fronts.values()
+           for f in runs.values()):
+        raise SystemLoadError(
+            "EAF needs bi-objective fronts; this run is single-objective")
     for alg in sorted(fronts):
         if len(fronts[alg]) < 2:
             print(f"skipping {alg}: needs at least 2 runs", file=sys.stderr)

@@ -4,10 +4,16 @@ is left.
 Repair order matters. Box clamping and region projection first, so the
 slack adjustments below start from capacity-feasible points. The heat
 balance is closed through a designated heat-only slack unit. The power
-balance is closed through a designated power-only slack unit; with network
-loss active the slack output appears on both sides of the balance, so it
-is solved by fixed-point iteration (the loss surface is shallow in any
-single output, so the iteration contracts fast).
+balance is closed through a designated power-only slack unit. With network
+loss active the slack output appears on both sides of the balance; under
+the B-matrix loss that balance is a quadratic in the slack output, so the
+slack is set to its stable root in one step, then polished by single
+steps of the fixed point "slack = demand + loss - other outputs" until
+the step falls below `loss_fixed_point_tol`.
+
+Repair is a per-row function: every stop test is taken row by row, and the
+loss is summed in a fixed order, so a row repairs to the same bits
+whichever rows share its batch.
 
 Slack units are restricted to power-only and heat-only units. When a slack
 hits its box bound and cannot close the balance alone, the leftover is
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DispatchVector, SystemDefinition, capacity_violation_batch, \
-    cost_batch, emission_batch, loss_batch
+    cost_batch, emission_batch, loss_batch, loss_in_power_output
 
 _MODES = ("repair_then_penalty", "penalty_only")
 
@@ -40,7 +46,7 @@ class ConstraintConfig:
     mode: str = "repair_then_penalty"
     power_slack_index: int | None = None
     heat_slack_index: int | None = None
-    loss_fixed_point_tol: float = 1e-6
+    loss_fixed_point_tol: float = 1e-12
     loss_fixed_point_max_iters: int = 50
 
     def __post_init__(self):
@@ -97,9 +103,9 @@ def _chord_room(system, moved, fixed, rows, upward, heat):
 def _spread_leftover(leftover, out, lo, hi, k, moved, fixed, system, heat):
     """Absorb what slack column k of `out` could not, by moving the other
     columns of `out` within their boxes [lo, hi] and the cogen coordinate
-    `moved` along its chords, in proportion to their room. Returns the
-    largest single move."""
-    largest = 0.0
+    `moved` along its chords, in proportion to their room. Returns each
+    row's largest single move."""
+    largest = np.zeros(len(leftover))
     for sign in (1.0, -1.0):
         rows = np.flatnonzero(sign * leftover > 0.0)
         if rows.size == 0:
@@ -112,8 +118,32 @@ def _spread_leftover(leftover, out, lo, hi, k, moved, fixed, system, heat):
         moves = _proportional_share(np.hstack([box, chords]), sign * leftover[rows])
         out[rows] += sign * moves[:, :out.shape[1]]
         moved[rows] += sign * moves[:, out.shape[1]:]
-        largest = max(largest, float(moves.max()))
+        largest[rows] = moves.max(axis=1)
     return largest
+
+
+def _until_settled(steps, arrays, tol):
+    """Apply each of `steps` in turn to the row-aligned `arrays`, which a
+    step changes in place and answers with each row's change. After every
+    step only the rows whose change is at least `tol` go on to the next, so
+    a row's result never depends on the other rows. While every row is
+    still going the step works on the arrays themselves; after that on
+    copies of the remaining rows, written back. Returns the last change of
+    the rows still at or above `tol` when the steps run out."""
+    rows = None
+    for step in steps:
+        sub = arrays if rows is None else [a[rows] for a in arrays]
+        change = step(*sub)
+        if rows is not None:
+            for a, part in zip(arrays, sub):
+                a[rows] = part
+        going = change >= tol
+        if not going.any():
+            return change[going]
+        if not going.all():
+            rows = np.flatnonzero(going) if rows is None else rows[going]
+            change = change[going]
+    return change
 
 
 def _close_heat_balance(o, h, t, system, hk):
@@ -129,27 +159,59 @@ def _close_heat_balance(o, h, t, system, hk):
 
 def _close_power_balance(p, o, h, system, pk, cfg):
     """Set the power slack so generation meets demand plus loss, spreading
-    what the slack cannot absorb; with loss active this is a fixed point
-    because the loss itself moves with the outputs."""
+    what the slack cannot absorb over the other electric outputs.
+
+    Without loss one pass closes the balance. With the B-matrix loss the
+    balance is a quadratic in the slack output x, a x^2 + (b - 1) x + c' = 0
+    (c' is the loss at x = 0 plus demand minus the other outputs), so the
+    first pass sets x to its stable root 2c' / (sqrt((b - 1)^2 - 4ac') -
+    (b - 1)), or to p_max where the discriminant is negative and no output
+    closes the balance. Each later pass is one step of the fixed point
+    x = demand + loss - others, with the leftover of a slack held at its
+    bound spread over the other outputs; it polishes the root's round-off
+    and follows the loss as the spread moves it. A row stops once its
+    change falls below cfg.loss_fixed_point_tol; a RuntimeWarning reports
+    rows still above it after cfg.loss_fixed_point_max_iters passes."""
     u = system.power_units[pk]
     lo = np.array([pu.p_min for pu in system.power_units])
     hi = np.array([pu.p_max for pu in system.power_units])
-    delta = np.inf
-    for _ in range(cfg.loss_fixed_point_max_iters):
-        others = p.sum(axis=1) - p[:, pk] + o.sum(axis=1)
-        need = system.power_demand + loss_batch(p, o, system) - others
-        new = np.clip(need, u.p_min, u.p_max)
-        delta = float(np.abs(new - p[:, pk]).max())
+
+    def others_of(p, o):
+        return p.sum(axis=1) - p[:, pk] + o.sum(axis=1)
+
+    def root(p, o, h):
+        a, b, c = loss_in_power_output(p, o, system, pk)
+        c = c + system.power_demand - others_of(p, o)
+        b = b - 1.0
+        disc = b * b - 4.0 * a * c
+        with np.errstate(invalid="ignore", divide="ignore"):
+            den = np.sqrt(disc) - b
+            x = np.where((disc >= 0.0) & (den > 0.0), 2.0 * c / den, np.inf)
+        new = np.clip(x, u.p_min, u.p_max)
+        # a slack held at its bound leaves a leftover to spread: keep going
+        change = np.where(new == x, np.abs(new - p[:, pk]), np.inf)
         p[:, pk] = new
-        delta = max(delta, _spread_leftover(need - new, p, lo, hi, pk, o, h,
-                                            system, heat=False))
-        if not system.loss_enabled or delta < 1e-14:
-            break
-    if system.loss_enabled and delta > cfg.loss_fixed_point_tol:
+        return change
+
+    def fixed_point(p, o, h):
+        need = system.power_demand + loss_batch(p, o, system) - others_of(p, o)
+        new = np.clip(need, u.p_min, u.p_max)
+        change = np.abs(new - p[:, pk])
+        p[:, pk] = new
+        return np.maximum(change, _spread_leftover(need - new, p, lo, hi, pk,
+                                                   o, h, system, heat=False))
+
+    if not system.loss_enabled:
+        fixed_point(p, o, h)
+        return
+    n = cfg.loss_fixed_point_max_iters
+    left = _until_settled([root] + [fixed_point] * (n - 1), (p, o, h),
+                          cfg.loss_fixed_point_tol)
+    if left.size:
         warnings.warn(
-            "power balance fixed point stopped after "
-            f"{cfg.loss_fixed_point_max_iters} iteration(s); last change "
-            f"{delta:.3g} MW",
+            f"power balance fixed point stopped after {n} iteration(s) with "
+            f"{left.size} row(s) still moving; largest last change "
+            f"{left.max():.3g} MW",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -157,7 +219,8 @@ def _close_power_balance(p, o, h, system, pk, cfg):
 
 def repair_batch(genes: np.ndarray, system: SystemDefinition,
                  cfg: ConstraintConfig) -> np.ndarray:
-    """Repair an (M, n_genes) array. Returns a new array."""
+    """Repair an (M, n_genes) array row by row: each row's result is the
+    same whichever rows share its batch. Returns a new array."""
     lower, upper = system.gene_bounds()
     g = np.clip(np.atleast_2d(np.asarray(genes, float)), lower, upper)
     p, o, h, t = system.split_genes(g)
@@ -171,18 +234,21 @@ def repair_batch(genes: np.ndarray, system: SystemDefinition,
             h[outside, j] = proj[outside, 1]
 
     pk, hk = resolve_slack_units(system, cfg)
+
     # Power redistribution moves cogen powers, which changes the heat room
     # available along the region chords, so the pair is iterated to a
     # joint fixed point (heat moves never disturb the power balance, so
-    # two passes normally settle it).
-    for _ in range(4):
+    # two passes normally settle a row).
+    def heat_then_power(g):
         before = g.copy()
+        p, o, h, t = system.split_genes(g)
         if hk is not None:
             _close_heat_balance(o, h, t, system, hk)
         if pk is not None:
             _close_power_balance(p, o, h, system, pk, cfg)
-        if np.abs(g - before).max() < 1e-12:
-            break
+        return np.abs(g - before).max(axis=1)
+
+    _until_settled([heat_then_power] * 4, (g,), 1e-12)
     return g
 
 

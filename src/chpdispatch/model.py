@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -124,6 +125,7 @@ class SystemDefinition:
                     f"{self.loss.b_matrix.shape[0]} but the system has "
                     f"{n_elec} electric units"
                 )
+            _check_loss_sign(self)
 
     @property
     def n_power(self) -> int:
@@ -144,6 +146,20 @@ class SystemDefinition:
     @property
     def loss_enabled(self) -> bool:
         return self.loss is not None and self.loss.enabled
+
+    @cached_property
+    def loss_weights(self) -> np.ndarray:
+        """Upper-triangular weights w of the loss's quadratic part,
+        sum over i <= j of w_ij x_i x_j, with x the electric outputs
+        (power-only units first). Inside the power-only and the cogeneration
+        block w_ij = B_ij + B_ji; across them w_ij = B_ij, the cross block
+        counted once. Read-only."""
+        b = self.loss.b_matrix
+        w = np.triu(b + b.T, 1)
+        w[:self.n_power, self.n_power:] = b[:self.n_power, self.n_power:]
+        np.fill_diagonal(w, np.diag(b))
+        w.setflags(write=False)
+        return w
 
     def gene_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Box bounds of the decision vector, ordered as
@@ -180,6 +196,41 @@ class SystemDefinition:
         h = g[:, np_ + nc:np_ + 2 * nc]
         t = g[:, np_ + 2 * nc:]
         return p, o, h, t
+
+
+def _check_loss_sign(system: "SystemDefinition") -> None:
+    """Reject a loss that can go negative on the electric gene box. Its
+    quadratic part, with the power x cogen cross block halved as loss_batch
+    counts it, must be positive semidefinite, and its minimum over the box,
+    a convex box QP solved here by coordinate descent, must not be below
+    zero."""
+    w = system.loss_weights
+    q = (w + w.T) / 2.0
+    eig = np.linalg.eigvalsh(q)
+    if eig.min() < -1e-10 * np.abs(eig).max():
+        raise ValueError("loss quadratic part is not positive semidefinite "
+                         f"(smallest eigenvalue {eig.min():.3g})")
+    n = len(q)
+    lower, upper = system.gene_bounds()
+    lo, hi = lower[:n], upper[:n]
+    lin = system.loss.b0_vector
+    x = lo.copy()
+    for _ in range(1000):
+        moved = 0.0
+        for i in range(n):
+            slope = lin[i] + 2.0 * (q[i] @ x - q[i, i] * x[i])
+            if q[i, i] > 0.0:
+                xi = min(max(-slope / (2.0 * q[i, i]), lo[i]), hi[i])
+            else:
+                xi = lo[i] if slope > 0.0 else hi[i] if slope < 0.0 else x[i]
+            moved = max(moved, abs(xi - x[i]))
+            x[i] = xi
+        if moved <= 1e-12 * (1.0 + np.abs(hi).max()):
+            break
+    least = float(x @ q @ x + lin @ x + system.loss.b00)
+    if least < -1e-9:
+        raise ValueError(f"loss is negative on the electric gene box: minimum "
+                         f"{least:.6g} MW at {np.round(x, 6).tolist()}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,6 +329,25 @@ def emission_batch(p, o, h, t, system: SystemDefinition) -> np.ndarray:
     return total
 
 
+def _electric_columns(p, o) -> list:
+    return [p[:, i] for i in range(p.shape[1])] + [o[:, j] for j in range(o.shape[1])]
+
+
+def _loss_rows(m: int, x: list, w: np.ndarray, lin, const: float) -> np.ndarray:
+    """const + sum_i (lin_i + sum_{j >= i} w_ij x_j) x_i for each of m rows,
+    x a list of columns. Terms are added one column at a time in a fixed
+    order, so a row's value never depends on the other rows of the batch
+    (a matrix product or einsum may round differently with the batch
+    size)."""
+    total = np.zeros(m)
+    for i, xi in enumerate(x):
+        acc = w[i, i] * xi + lin[i]
+        for j in range(i + 1, len(x)):
+            acc += w[i, j] * x[j]
+        total += acc * xi
+    return total + const
+
+
 def loss_batch(p, o, system: SystemDefinition) -> np.ndarray:
     """Network loss per dispatch row. The quadratic form runs over the
     concatenated electric vector with the power x cogen cross block counted
@@ -286,16 +356,25 @@ def loss_batch(p, o, system: SystemDefinition) -> np.ndarray:
     if not system.loss_enabled:
         return np.zeros(m)
     lm = system.loss
-    np_ = system.n_power
-    bpp = lm.b_matrix[:np_, :np_]
-    bpc = lm.b_matrix[:np_, np_:]
-    bcc = lm.b_matrix[np_:, np_:]
-    total = np.einsum("mi,ij,mj->m", p, bpp, p)
-    total += np.einsum("mi,ij,mj->m", p, bpc, o)
-    total += np.einsum("mi,ij,mj->m", o, bcc, o)
-    g = np.hstack([p, o])
-    total += g @ lm.b0_vector
-    return total + lm.b00
+    return _loss_rows(m, _electric_columns(p, o), system.loss_weights,
+                      lm.b0_vector, lm.b00)
+
+
+def loss_in_power_output(p, o, system: SystemDefinition, k: int):
+    """The loss as a quadratic in power-only output k with every other
+    output held: (a, b, c) with loss = a x^2 + b x + c at x = p[:, k].
+    a is a scalar, b and c are per row; built from the B coefficients
+    column by column, like loss_batch."""
+    lm = system.loss
+    x = _electric_columns(p, o)
+    w = system.loss_weights
+    rest = [i for i in range(len(x)) if i != k]
+    b = np.full(len(x[k]), lm.b0_vector[k])
+    for j in rest:
+        b += w[min(j, k), max(j, k)] * x[j]
+    c = _loss_rows(len(x[k]), [x[i] for i in rest], w[np.ix_(rest, rest)],
+                   lm.b0_vector[rest], lm.b00)
+    return w[k, k], b, c
 
 
 def capacity_violation_batch(p, o, h, t, system: SystemDefinition) -> np.ndarray:

@@ -557,6 +557,12 @@ class TestMain:
         assert main(["metrics", str(exp_dir), "--bounds", str(bounds)]) == 2
         assert "bi-objective" in capsys.readouterr().err
 
+    def test_eaf_rejects_single_objective_runs(self, chped_experiment,
+                                               capsys):
+        exp_dir, _ = chped_experiment
+        assert main(["eaf", str(exp_dir)]) == 2
+        assert "EAF needs bi-objective fronts" in capsys.readouterr().err
+
     def test_eaf_subcommand(self, paired_reports, capsys):
         exp_dir, _ = paired_reports
         assert main(["eaf", str(exp_dir), "--levels", "50"]) == 0

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chpdispatch import (
     ConstraintConfig,
@@ -14,6 +15,7 @@ from chpdispatch import (
     total_cost,
     total_emission,
 )
+from chpdispatch import constraints
 from chpdispatch.constraints import evaluate_batch, resolve_slack_units
 from chpdispatch.model import (capacity_violation_batch, cost_batch,
                                emission_batch, loss_batch)
@@ -153,6 +155,24 @@ class TestRepair:
         with pytest.warns(RuntimeWarning, match="fixed point"):
             repair_batch(g, system, cfg)
 
+    def test_tolerance_is_the_per_row_stop_test(self, monkeypatch):
+        # a coarser tolerance stops rows earlier, so fewer fixed-point
+        # passes evaluate the loss
+        system = load_system("system3")
+        g = _random_genes(system, 200, 10)
+        calls = []
+
+        def counted(p, o, system):
+            calls.append(len(p))
+            return loss_batch(p, o, system)
+
+        monkeypatch.setattr(constraints, "loss_batch", counted)
+        repair_batch(g, system, ConstraintConfig())
+        fine = sum(calls)
+        calls.clear()
+        repair_batch(g, system, ConstraintConfig(loss_fixed_point_tol=1.0))
+        assert 0 < sum(calls) < fine
+
     def test_no_warning_under_default_budget(self):
         system = load_system("system3")
         g = _random_genes(system, 200, 9)
@@ -258,3 +278,89 @@ class TestPenalty:
         assert np.array_equal(ev.cost, cost_batch(p, o, h, t, system))
         assert np.array_equal(ev.emission, emission_batch(p, o, h, t, system))
         assert np.all(ev.violation >= 0.0)
+
+
+# Derandomized, so every run of the suite draws the same examples.
+PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                    max_examples=40)
+
+
+def _rows_around_box(system, max_rows):
+    """Batches of gene rows up to 20% of each range outside the box: a
+    seeded uniform draw of up to max_rows rows plus a few rows built
+    coordinate by coordinate, which reach the box faces and corners."""
+    lower, upper = system.gene_bounds()
+    edge_row = st.lists(st.floats(-0.2, 1.2), min_size=system.n_genes,
+                        max_size=system.n_genes)
+
+    @st.composite
+    def batches(draw):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        frac = rng.uniform(-0.2, 1.2, (draw(st.integers(0, max_rows)),
+                                       system.n_genes))
+        edge = draw(st.lists(edge_row, min_size=0 if len(frac) else 1,
+                             max_size=4))
+        if edge:
+            frac = np.vstack([frac, edge])
+        return lower + frac * (upper - lower)
+
+    return batches()
+
+
+class TestPerRowRepair:
+    """A row's repair depends on that row alone, not on its batch."""
+
+    @pytest.mark.parametrize("name", ["system1", "system2", "system3"])
+    def test_batch_equals_row_by_row(self, name):
+        system = load_system(name)
+        cfg = ConstraintConfig()
+
+        @PROPERTY
+        @given(_rows_around_box(system, 100))
+        def check(g):
+            batch = repair_batch(g, system, cfg)
+            alone = np.vstack([repair_batch(row[None, :], system, cfg)
+                               for row in g])
+            assert np.array_equal(batch, alone)
+
+        check()
+
+    def test_loss_is_row_independent(self):
+        system = load_system("system3")
+
+        @PROPERTY
+        @given(_rows_around_box(system, 40))
+        def check(g):
+            p, o, _, _ = system.split_genes(g)
+            batch = loss_batch(p, o, system)
+            alone = [loss_batch(p[i:i + 1], o[i:i + 1], system)[0]
+                     for i in range(len(g))]
+            assert np.array_equal(batch, alone)
+
+        check()
+
+    def test_closed_form_slack_matches_the_fixed_point(self):
+        # Where the repaired slack sits strictly inside its box, iterate
+        # slack = demand + loss - others 50 times from the input's slack,
+        # with the other outputs as repaired and the oracle loss; the
+        # closed-form root must agree with it.
+        system = load_system("system3")
+        pk, _ = resolve_slack_units(system, ConstraintConfig())
+        unit = system.power_units[pk]
+        lower, upper = system.gene_bounds()
+
+        @PROPERTY
+        @given(_rows_around_box(system, 16))
+        def check(g):
+            r = repair_batch(g, system, ConstraintConfig())
+            for start, row in zip(np.clip(g, lower, upper), r):
+                if not unit.p_min < row[pk] < unit.p_max:
+                    continue
+                x = row.copy()
+                x[pk] = start[pk]
+                for _ in range(50):
+                    others = x[:6].sum() - x[pk]
+                    x[pk] = 600.0 + oracles.sys3_loss(*x[:6]) - others
+                assert abs(x[pk] - row[pk]) < 1e-9
+
+        check()

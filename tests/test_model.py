@@ -293,6 +293,43 @@ class TestLoader:
         with pytest.raises(SystemLoadError, match="electric units"):
             load_system(f)
 
+    @staticmethod
+    def _system3_file(tmp_path, edit):
+        data = json.loads(resources.files("chpdispatch.data")
+                          .joinpath("system3.json").read_text())
+        edit(data["loss"])
+        f = tmp_path / "system3_edited.json"
+        f.write_text(json.dumps(data))
+        return f
+
+    def test_loss_not_positive_semidefinite_rejected(self, tmp_path):
+        def flip(loss):
+            loss["b"][0][0] = -49
+        f = self._system3_file(tmp_path, flip)
+        with pytest.raises(SystemLoadError, match="positive semidefinite"):
+            load_system(f)
+
+    def test_loss_negative_on_the_box_rejected(self, tmp_path):
+        # system3's smallest loss on the box is 0.87 MW, at the lower
+        # corner (10, 20, 30, 40, 81, 40); b00 = -5 takes it below zero
+        def shift(loss):
+            loss["b00"] = -5.0
+        f = self._system3_file(tmp_path, shift)
+        with pytest.raises(SystemLoadError, match="negative on the electric"):
+            load_system(f)
+
+    def test_loss_negative_inside_the_box_rejected(self, tmp_path):
+        # x^2 - 2x + 0.5 is positive at both ends of [0, 10] and -0.5 at
+        # x = 1, so only the minimum over the box catches it
+        f = tmp_path / "dip.json"
+        f.write_text(
+            '{"demand": {"power": 5, "heat": 0},'
+            ' "power_units": [{"p_min": 0, "p_max": 10}],'
+            ' "loss": {"enabled": true, "b": [[1]], "b0": [-2], "b00": 0.5}}'
+        )
+        with pytest.raises(SystemLoadError, match="minimum -0.5 MW"):
+            load_system(f)
+
     def test_bad_region_reported(self, tmp_path):
         f = tmp_path / "region.json"
         f.write_text(
