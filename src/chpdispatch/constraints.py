@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DispatchVector, SystemDefinition, capacity_violation_batch, \
-    cost_batch, emission_batch, loss_batch, loss_in_power_output
+from .model import SystemDefinition, capacity_violation_batch, cost_batch, \
+    emission_batch, loss_batch, loss_in_power_output
 
 _MODES = ("repair_then_penalty", "penalty_only")
 
@@ -86,17 +86,14 @@ def _proportional_share(room, amount):
 def _chord_room(system, moved, fixed, rows, upward, heat):
     """Room of each cogen unit's moved coordinate (heat when `heat`, else
     power) along the chord of its region at the current value of the
-    fixed coordinate, clamped into the region's range of that coordinate."""
+    fixed coordinate, clamped into the region's range of that coordinate
+    (so every chord is hit)."""
     room = np.zeros((rows.size, system.n_cogen))
     for j, u in enumerate(system.cogen_units):
-        if heat:
-            (lo, hi), chord = u.region.power_range, u.region.heat_bounds_at_power
-        else:
-            (lo, hi), chord = u.region.heat_range, u.region.power_bounds_at_heat
-        for k, m in enumerate(rows):
-            b = chord(min(max(fixed[m, j], lo), hi))
-            if b is not None:
-                room[k, j] = b[1] - moved[m, j] if upward else moved[m, j] - b[0]
+        lo, hi = u.region.power_range if heat else u.region.heat_range
+        b_lo, b_hi, _ = u.region.chord_bounds(
+            np.clip(fixed[rows, j], lo, hi), axis=0 if heat else 1)
+        room[:, j] = b_hi - moved[rows, j] if upward else moved[rows, j] - b_lo
     return np.clip(room, 0.0, None)
 
 
@@ -250,12 +247,6 @@ def repair_batch(genes: np.ndarray, system: SystemDefinition,
 
     _until_settled([heat_then_power] * 4, (g,), 1e-12)
     return g
-
-
-def repair(x: DispatchVector, system: SystemDefinition,
-           cfg: ConstraintConfig) -> DispatchVector:
-    repaired = repair_batch(x.to_genes()[None, :], system, cfg)
-    return DispatchVector.from_genes(repaired[0], system)
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,7 @@ skipped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,10 +92,6 @@ class FrontArchive:
 
     def __len__(self):
         return self.genes.shape[0]
-
-    @property
-    def points(self) -> list[tuple]:
-        return [tuple(row) for row in self.objectives]
 
 
 # ---------------------------------------------------------------------------
@@ -503,14 +499,3 @@ def run(system: SystemDefinition, ecfg: EngineConfig,
         return _nsga2_loop(system, ecfg, ccfg, mode)
     return _indicator_loop(system, ecfg, ccfg, mode)
 
-
-def idbea_run(system, ecfg: EngineConfig, ccfg=None, mode="chpeed"):
-    return run(system, replace(ecfg, algorithm="IDBEA"), ccfg, mode)
-
-
-def ibea_run(system, ecfg: EngineConfig, ccfg=None, mode="chpeed"):
-    return run(system, replace(ecfg, algorithm="IBEA"), ccfg, mode)
-
-
-def nsga2_run(system, ecfg: EngineConfig, ccfg=None, mode="chpeed"):
-    return run(system, replace(ecfg, algorithm="NSGA2"), ccfg, mode)

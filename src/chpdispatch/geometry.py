@@ -3,8 +3,9 @@
 A cogeneration unit cannot choose electric power and useful heat
 independently: the admissible (power, heat) pairs form a convex polygon.
 This module stores such a polygon and answers the queries the dispatch and
-repair code need: membership, the feasible interval of one coordinate at a
-fixed value of the other, and Euclidean projection onto the region.
+repair code need, each over an array at once: membership of points,
+chords (the feasible interval of one coordinate at each of a column of
+values of the other), and Euclidean projection of points onto the region.
 """
 from __future__ import annotations
 
@@ -30,7 +31,8 @@ class ForPolygon:
             raise ValueError("region needs at least 3 vertices")
         if not np.all(np.isfinite(v)):
             raise ValueError("region vertices must be finite")
-        edges = np.roll(v, -1, axis=0) - v
+        ends = np.roll(v, -1, axis=0)
+        edges = ends - v
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         if np.any(lengths < 1e-12):
             raise ValueError("region has repeated consecutive vertices")
@@ -46,6 +48,7 @@ class ForPolygon:
 
         self._v = v
         self._v.setflags(write=False)
+        self._ends = ends
         self._edges = edges
         self._lengths = lengths
         self._edge_dot = np.sum(edges * edges, axis=1)
@@ -72,40 +75,30 @@ class ForPolygon:
         cross = self._edges[None, :, 0] * rel_h - self._edges[None, :, 1] * rel_p
         return np.all(cross >= -tol * self._lengths[None, :], axis=1)
 
-    def contains(self, point, tol: float = BOUNDARY_TOL) -> bool:
-        return bool(self.contains_many(np.asarray(point, float)[None, :], tol)[0])
+    # -- chords -------------------------------------------------------------
 
-    # -- axis-aligned bounds ------------------------------------------------
-
-    def power_bounds_at_heat(self, h: float) -> tuple[float, float] | None:
-        """Feasible power interval at fixed heat, or None when the
-        horizontal line misses the polygon."""
-        return self._line_bounds(float(h), axis=1)
-
-    def heat_bounds_at_power(self, p: float) -> tuple[float, float] | None:
-        """Feasible heat interval at fixed power, or None."""
-        return self._line_bounds(float(p), axis=0)
-
-    def _line_bounds(self, value: float, axis: int) -> tuple[float, float] | None:
+    def chord_bounds(self, values, axis: int):
+        """Chord of the polygon along lines where coordinate `axis` (0 power,
+        1 heat) is fixed at each of `values`: (lo, hi, hit) arrays over the
+        other coordinate. An edge whose `axis` span, widened by
+        BOUNDARY_TOL, holds a value meets its line at the clamped
+        interpolation point; an edge flat along `axis` contributes both of
+        its ends. Where no edge meets the line, hit is False, lo is +inf and
+        hi is -inf."""
+        x = np.asarray(values, float)[None, :]
         other = 1 - axis
-        hits: list[float] = []
-        n = len(self._v)
-        for i in range(n):
-            a = self._v[i]
-            b = self._v[(i + 1) % n]
-            lo, hi = (a[axis], b[axis]) if a[axis] <= b[axis] else (b[axis], a[axis])
-            if value < lo - BOUNDARY_TOL or value > hi + BOUNDARY_TOL:
-                continue
-            if hi - lo < 1e-12:
-                hits.append(a[other])
-                hits.append(b[other])
-            else:
-                t = (value - a[axis]) / (b[axis] - a[axis])
-                t = min(1.0, max(0.0, t))
-                hits.append(a[other] + t * (b[other] - a[other]))
-        if not hits:
-            return None
-        return min(hits), max(hits)
+        a, b, d = self._v, self._ends, self._edges
+        lo_e = np.minimum(a[:, axis], b[:, axis])[:, None]
+        hi_e = np.maximum(a[:, axis], b[:, axis])[:, None]
+        meets = (x >= lo_e - BOUNDARY_TOL) & (x <= hi_e + BOUNDARY_TOL)
+        flat = hi_e - lo_e < 1e-12
+        t = np.clip((x - a[:, axis, None]) / np.where(flat, 1.0, d[:, axis, None]),
+                    0.0, 1.0)
+        cut = a[:, other, None] + t * d[:, other, None]
+        lo = np.where(flat, np.minimum(a[:, other], b[:, other])[:, None], cut)
+        hi = np.where(flat, np.maximum(a[:, other], b[:, other])[:, None], cut)
+        return (np.where(meets, lo, np.inf).min(axis=0),
+                np.where(meets, hi, -np.inf).max(axis=0), meets.any(axis=0))
 
     # -- projection ---------------------------------------------------------
 
@@ -129,16 +122,6 @@ class ForPolygon:
         proj[inside] = q[inside]
         dist[inside] = 0.0
         return proj, dist
-
-    def project(self, point) -> tuple[float, float]:
-        """Nearest point of the polygon (identity for interior points)."""
-        proj, _ = self.project_many(np.asarray(point, float)[None, :])
-        return float(proj[0, 0]), float(proj[0, 1])
-
-    def distance_outside_many(self, points: np.ndarray) -> np.ndarray:
-        """Euclidean distance to the region, 0 for points inside."""
-        _, dist = self.project_many(points)
-        return dist
 
     def __repr__(self) -> str:
         return f"ForPolygon({self._v.tolist()})"

@@ -8,8 +8,9 @@ cost coupling and emission linear in power. Heat-only units are quadratic
 in heat. Network loss is a quadratic form over the electric outputs in
 which the power-only x cogeneration cross block is counted once.
 
-All evaluation routines are pure; batch variants operate on (M, n) arrays
-and the single-vector API wraps them.
+All evaluation routines are pure and operate on (M, n) arrays of
+dispatch rows; `evaluate` runs them on a one-row batch for a single
+DispatchVector.
 """
 from __future__ import annotations
 
@@ -117,6 +118,13 @@ class SystemDefinition:
             raise ValueError("system needs at least one unit")
         if self.power_demand < 0 or self.heat_demand < 0:
             raise ValueError("demands must be non-negative")
+        # repair closes each balance through a slack unit of that kind
+        if self.heat_demand > 0 and not self.heat_units:
+            raise ValueError("heat demand is positive but the system has no "
+                             "heat-only unit to close the heat balance")
+        if self.power_demand > 0 and not self.power_units:
+            raise ValueError("power demand is positive but the system has no "
+                             "power-only unit to close the power balance")
         n_elec = len(self.power_units) + len(self.cogen_units)
         if self.loss is not None and self.loss.enabled:
             if self.loss.b_matrix.shape[0] != n_elec:
@@ -269,20 +277,6 @@ class Evaluation:
     capacity_violation: float
 
 
-def _check_dims(x: DispatchVector, system: SystemDefinition) -> None:
-    if (
-        len(x.p) != system.n_power
-        or len(x.o) != system.n_cogen
-        or len(x.h) != system.n_cogen
-        or len(x.t) != system.n_heat
-    ):
-        raise ValueError(
-            f"dispatch dimensions ({len(x.p)}, {len(x.o)}, {len(x.h)}, {len(x.t)}) "
-            f"do not match system ({system.n_power}, {system.n_cogen}, "
-            f"{system.n_cogen}, {system.n_heat})"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Batch evaluation primitives.
 # ---------------------------------------------------------------------------
@@ -387,57 +381,26 @@ def capacity_violation_batch(p, o, h, t, system: SystemDefinition) -> np.ndarray
         total += np.clip(u.h_min - tj, 0.0, None) + np.clip(tj - u.h_max, 0.0, None)
     for j, u in enumerate(system.cogen_units):
         pts = np.column_stack([o[:, j], h[:, j]])
-        total += u.region.distance_outside_many(pts)
+        total += u.region.project_many(pts)[1]
     return total
 
 
-# ---------------------------------------------------------------------------
-# Single-dispatch API.
-# ---------------------------------------------------------------------------
-
-def total_cost(x: DispatchVector, system: SystemDefinition) -> float:
-    _check_dims(x, system)
-    return float(cost_batch(x.p[None, :], x.o[None, :], x.h[None, :], x.t[None, :], system)[0])
-
-
-def total_emission(x: DispatchVector, system: SystemDefinition) -> float:
-    _check_dims(x, system)
-    return float(emission_batch(x.p[None, :], x.o[None, :], x.h[None, :], x.t[None, :], system)[0])
-
-
-def transmission_loss(x: DispatchVector, system: SystemDefinition) -> float:
-    _check_dims(x, system)
-    return float(loss_batch(x.p[None, :], x.o[None, :], system)[0])
-
-
-def _residuals(x: DispatchVector, system: SystemDefinition, p_l: float):
-    power_res = float(x.p.sum() + x.o.sum() - system.power_demand - p_l)
-    heat_res = float(x.h.sum() + x.t.sum() - system.heat_demand)
-    return power_res, heat_res
-
-
-def balance_residuals(x: DispatchVector, system: SystemDefinition) -> tuple[float, float]:
-    """(power residual, heat residual); both zero for a feasible dispatch."""
-    return _residuals(x, system, transmission_loss(x, system))
-
-
-def capacity_violation(x: DispatchVector, system: SystemDefinition) -> float:
-    _check_dims(x, system)
-    return float(
-        capacity_violation_batch(x.p[None, :], x.o[None, :], x.h[None, :], x.t[None, :], system)[0]
-    )
-
-
 def evaluate(x: DispatchVector, system: SystemDefinition) -> Evaluation:
-    loss = transmission_loss(x, system)
-    p_res, h_res = _residuals(x, system, loss)
+    """Objectives, loss, balance residuals and capacity violation of one
+    dispatch, from the batch functions on a one-row batch."""
+    dims = (len(x.p), len(x.o), len(x.h), len(x.t))
+    want = (system.n_power, system.n_cogen, system.n_cogen, system.n_heat)
+    if dims != want:
+        raise ValueError(f"dispatch dimensions {dims} do not match system {want}")
+    p, o, h, t = x.p[None, :], x.o[None, :], x.h[None, :], x.t[None, :]
+    loss = float(loss_batch(p, o, system)[0])
     return Evaluation(
-        cost=total_cost(x, system),
-        emission=total_emission(x, system),
+        cost=float(cost_batch(p, o, h, t, system)[0]),
+        emission=float(emission_batch(p, o, h, t, system)[0]),
         loss=loss,
-        power_residual=p_res,
-        heat_residual=h_res,
-        capacity_violation=capacity_violation(x, system),
+        power_residual=float(x.p.sum() + x.o.sum() - system.power_demand - loss),
+        heat_residual=float(x.h.sum() + x.t.sum() - system.heat_demand),
+        capacity_violation=float(capacity_violation_batch(p, o, h, t, system)[0]),
     )
 
 

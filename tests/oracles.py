@@ -115,7 +115,8 @@ SYS3_BOUNDS = [
 
 # ---------------------------------------------------------------------------
 # Geometry: brute-force point-to-polygon projection by dense boundary
-# sampling, and a crossing-number membership test.
+# sampling, a crossing-number membership test, and chords by half-plane
+# intersection.
 # ---------------------------------------------------------------------------
 
 def polygon_contains_crossing(vertices, point, tol=1e-9):
@@ -132,6 +133,32 @@ def polygon_contains_crossing(vertices, point, tol=1e-9):
         if cross < -tol * np.hypot(*e):
             return False
     return True
+
+
+def polygon_chord_halfplanes(vertices, value, axis, tol=1e-9):
+    """Chord of a convex CCW polygon along the line where coordinate `axis`
+    equals `value`, as (lo, hi) over the other coordinate, or None when the
+    line misses it. Each edge's inner half-plane, cross(b - a, q - a) >= 0,
+    cut by the line is a half-line k * s + r >= 0 in the free coordinate s;
+    the chord is the intersection of those half-lines."""
+    v = np.asarray(vertices, float)
+    lo, hi = -math.inf, math.inf
+    for i in range(len(v)):
+        a, b = v[i], v[(i + 1) % len(v)]
+        e = b - a
+        if axis == 1:   # q = (s, value)
+            k, r = -e[1], e[0] * (value - a[1]) + e[1] * a[0]
+        else:           # q = (value, s)
+            k, r = e[0], -e[0] * a[1] - e[1] * (value - a[0])
+        if k > 0:
+            lo = max(lo, -r / k)
+        elif k < 0:
+            hi = min(hi, -r / k)
+        elif r < -tol * math.hypot(*e):
+            return None
+    if lo > hi + tol:
+        return None
+    return lo, hi
 
 
 def polygon_project_sampled(vertices, point, samples_per_edge=2001, zoom_rounds=8):

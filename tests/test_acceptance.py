@@ -12,10 +12,8 @@ import numpy as np
 import pytest
 
 from chpdispatch import (DispatchVector, EngineConfig, ForPolygon,
-                         NormalizationBounds, balance_residuals,
-                         hv_metric, hypervolume_2d, ibea_run, idbea_run,
-                         load_system, spread_delta, total_cost,
-                         total_emission, transmission_loss,
+                         NormalizationBounds, evaluate, hv_metric,
+                         hypervolume_2d, load_system, run, spread_delta,
                          wilcoxon_signed_rank)
 from chpdispatch.cli import _write_front_csv
 from chpdispatch.engine import _crowding, _env_select, _fast_nds
@@ -31,12 +29,11 @@ def _paired_runs(name):
     system = load_system(name)
     pairs = []
     for seed in SEEDS:
-        cfg = EngineConfig(rng_seed=seed)
         t0 = time.perf_counter()
-        fa = idbea_run(system, cfg)
+        fa = run(system, EngineConfig(rng_seed=seed, algorithm="IDBEA"))
         ta = time.perf_counter() - t0
         t0 = time.perf_counter()
-        fb = ibea_run(system, cfg)
+        fb = run(system, EngineConfig(rng_seed=seed, algorithm="IBEA"))
         tb = time.perf_counter() - t0
         pairs.append((fa, ta, fb, tb))
     return pairs
@@ -58,7 +55,8 @@ def sys1_runs():
     runs = []
     for seed in range(1, 31):
         t0 = time.perf_counter()
-        front = idbea_run(system, EngineConfig(rng_seed=seed), mode="chped")
+        front = run(system, EngineConfig(rng_seed=seed, algorithm="IDBEA"),
+                    mode="chped")
         runs.append((front, time.perf_counter() - t0))
     return system, runs
 
@@ -79,11 +77,11 @@ class TestFormulaFidelity:
         t0 = time.perf_counter()
         for _ in range(1000):
             x = _random_dispatch(bounds, rng)
-            vec = mk(x)
-            assert _rel_ok(total_cost(vec, system), cost_fn(*x), 1e-10)
-            assert _rel_ok(total_emission(vec, system), em_fn(*x), 1e-10)
+            ev = evaluate(mk(x), system)
+            assert _rel_ok(ev.cost, cost_fn(*x), 1e-10)
+            assert _rel_ok(ev.emission, em_fn(*x), 1e-10)
             want_loss = 0.0 if loss_fn is None else loss_fn(x)
-            assert _rel_ok(transmission_loss(vec, system), want_loss, 1e-10)
+            assert _rel_ok(ev.loss, want_loss, 1e-10)
         assert time.perf_counter() - t0 < 5.0
 
 
@@ -92,7 +90,7 @@ class TestLossSanity:
         system = load_system("system3")
         vec = DispatchVector(p=[64.5, 95.8, 95.5, 122.0], o=[188.6, 40.2],
                              h=[92.5, 57.0], t=[1.6])
-        assert abs(transmission_loss(vec, system) - 6.1) < 0.15
+        assert abs(evaluate(vec, system).loss - 6.1) < 0.15
 
 
 class TestSystem2Extremes:
@@ -145,8 +143,8 @@ class TestSystem1BestOfThirty:
                 best_cost = front.objectives[i, 0]
                 best_genes = front.genes[i]
         assert best_cost <= 9270.0
-        vec = DispatchVector.from_genes(best_genes, system)
-        assert balance_residuals(vec, system) == (0.0, 0.0)
+        ev = evaluate(DispatchVector.from_genes(best_genes, system), system)
+        assert (ev.power_residual, ev.heat_residual) == (0.0, 0.0)
 
     def test_per_run_wall_time(self, sys1_runs):
         _, runs = sys1_runs
@@ -248,7 +246,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(81)
         pts = rng.random((20, 2)) * [160.0, 200.0] + [-10.0, -30.0]
         for q in pts:
-            got = np.asarray(poly.project(q))
+            got = poly.project_many(q[None, :])[0][0]
             assert np.allclose(got, oracles.polygon_project_sampled(verts, q),
                                atol=1e-6)
 
@@ -257,7 +255,7 @@ class TestDeterminism:
     def test_repeated_run_byte_identical_dump(self, sys2_pairs, tmp_path):
         system = load_system("system2")
         first = sys2_pairs[0][0]
-        again = idbea_run(system, EngineConfig(rng_seed=1))
+        again = run(system, EngineConfig(rng_seed=1, algorithm="IDBEA"))
         assert again.genes.tobytes() == first.genes.tobytes()
         assert again.objectives.tobytes() == first.objectives.tobytes()
         assert again.violations.tobytes() == first.violations.tobytes()

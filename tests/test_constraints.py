@@ -7,13 +7,9 @@ from hypothesis import given, settings, strategies as st
 from chpdispatch import (
     ConstraintConfig,
     DispatchVector,
-    balance_residuals,
-    capacity_violation,
+    evaluate,
     load_system,
-    repair,
     repair_batch,
-    total_cost,
-    total_emission,
 )
 from chpdispatch import constraints
 from chpdispatch.constraints import evaluate_batch, resolve_slack_units
@@ -21,6 +17,12 @@ from chpdispatch.model import (capacity_violation_batch, cost_batch,
                                emission_batch, loss_batch)
 
 import oracles
+
+
+def _repair_one(vec, system, cfg):
+    """Repair one dispatch through the batch path."""
+    return DispatchVector.from_genes(
+        repair_batch(vec.to_genes()[None, :], system, cfg)[0], system)
 
 
 def _random_genes(system, n, seed):
@@ -67,7 +69,7 @@ class TestRepair:
     def test_feasible_vector_is_fixed_point(self):
         system = load_system("system1")
         vec = DispatchVector(p=[0.0], o=[160.0, 40.0], h=[40.0, 75.0], t=[0.0])
-        out = repair(vec, system, ConstraintConfig())
+        out = _repair_one(vec, system, ConstraintConfig())
         assert np.allclose(out.to_genes(), vec.to_genes(), atol=1e-9)
 
     def test_box_clamp(self):
@@ -81,10 +83,10 @@ class TestRepair:
     def test_region_projection(self):
         system = load_system("system1")
         vec = DispatchVector(p=[0.0], o=[90.0, 40.0], h=[170.0, 75.0], t=[0.0])
-        out = repair(vec, system, ConstraintConfig())
+        out = _repair_one(vec, system, ConstraintConfig())
         region = system.cogen_units[0].region
-        assert region.contains((out.o[0], out.h[0]))
-        assert capacity_violation(out, system) == 0.0
+        assert region.contains_many(np.array([[out.o[0], out.h[0]]]))[0]
+        assert evaluate(out, system).capacity_violation == 0.0
 
     def test_balance_closure_without_loss(self):
         # A few starting points are genuinely unclosable (cogen powers at
@@ -92,8 +94,9 @@ class TestRepair:
         # fractional; closed rows are exact to linear round-off.
         system = load_system("system2")
         r = repair_batch(_random_genes(system, 200, 2), system, ConstraintConfig())
-        res = np.array([balance_residuals(DispatchVector.from_genes(row, system),
-                                          system) for row in r])
+        evs = [evaluate(DispatchVector.from_genes(row, system), system)
+               for row in r]
+        res = np.array([(ev.power_residual, ev.heat_residual) for ev in evs])
         closed = np.all(np.abs(res) < 1e-9, axis=1)
         assert closed.mean() >= 0.97
 
@@ -188,11 +191,10 @@ class TestSaturation:
         system = load_system("system2")
         vec = DispatchVector(p=[35.0], o=[44.0, 20.0, 86.0],
                              h=[0.0, 0.0, 0.0], t=[0.0])
-        out = repair(vec, system, ConstraintConfig())
-        p_res, h_res = balance_residuals(out, system)
-        assert abs(h_res) < 1e-9
-        assert abs(p_res) < 1e-9
-        assert capacity_violation(out, system) == 0.0
+        ev = evaluate(_repair_one(vec, system, ConstraintConfig()), system)
+        assert abs(ev.heat_residual) < 1e-9
+        assert abs(ev.power_residual) < 1e-9
+        assert ev.capacity_violation == 0.0
 
     def test_impossible_power_demand_leaves_residual(self, tmp_path):
         f = tmp_path / "tiny.json"
@@ -203,10 +205,10 @@ class TestSaturation:
         )
         system = load_system(f)
         vec = DispatchVector(p=[0.0, 0.0], o=[], h=[], t=[])
-        out = repair(vec, system, ConstraintConfig())
+        out = _repair_one(vec, system, ConstraintConfig())
         assert np.allclose(out.p, [30.0, 40.0])
-        p_res, _ = balance_residuals(out, system)
-        assert p_res == pytest.approx(-30.0, abs=1e-12)
+        assert evaluate(out, system).power_residual == pytest.approx(
+            -30.0, abs=1e-12)
 
     def test_excess_heat_beyond_floors_leaves_residual(self):
         # Both cogen powers pinned low force high heat floors; with the
@@ -215,8 +217,7 @@ class TestSaturation:
         g = np.array([[0.0, 81.0, 40.0, 104.8, 75.0, 0.0]])
         r = repair_batch(g, system, ConstraintConfig())
         vec = DispatchVector.from_genes(r[0], system)
-        _, h_res = balance_residuals(vec, system)
-        assert h_res > 1.0
+        assert evaluate(vec, system).heat_residual > 1.0
 
 
 def _evaluate_one(vec, system, cfg):
@@ -231,8 +232,9 @@ class TestPenalty:
         vec = DispatchVector(p=[0.0], o=[160.0, 40.0], h=[40.0, 75.0], t=[0.0])
         cost, emission, viol = _evaluate_one(vec, system, ConstraintConfig())
         assert viol == 0.0
-        assert cost == total_cost(vec, system)
-        assert emission == total_emission(vec, system)
+        ev = evaluate(vec, system)
+        assert cost == ev.cost
+        assert emission == ev.emission
 
     def test_linear_penalty_composition(self):
         # the 5 MW excess enters the violation linearly; the objectives
@@ -243,8 +245,9 @@ class TestPenalty:
         vec = DispatchVector(p=[5.0], o=[160.0, 40.0], h=[40.0, 75.0], t=[0.0])
         cost, emission, viol = _evaluate_one(vec, system, cfg)
         assert viol == pytest.approx(5.0, abs=1e-12)
-        assert cost == total_cost(vec, system)
-        assert emission == total_emission(vec, system)
+        ev = evaluate(vec, system)
+        assert cost == ev.cost
+        assert emission == ev.emission
 
     def test_penalty_only_mode_keeps_genes(self):
         system = load_system("system2")
@@ -259,15 +262,15 @@ class TestPenalty:
         system = load_system("system1")
         cfg = ConstraintConfig(mode="penalty_only")
         vec = DispatchVector(p=[0.0], o=[126.9, 40.0], h=[43.0, 75.0], t=[0.0])
-        p_res, h_res = balance_residuals(vec, system)
-        assert p_res == pytest.approx(-33.1, abs=1e-9)
-        assert h_res == pytest.approx(3.0, abs=1e-9)
-        assert capacity_violation(vec, system) == 0.0
+        ev = evaluate(vec, system)
+        assert ev.power_residual == pytest.approx(-33.1, abs=1e-9)
+        assert ev.heat_residual == pytest.approx(3.0, abs=1e-9)
+        assert ev.capacity_violation == 0.0
         _, _, viol = _evaluate_one(vec, system, cfg)
         assert viol == pytest.approx(36.1, abs=1e-9)
         # Setpoints are table-rounded to 0.1 MW; with cost slopes around
         # 25 $/MW that bounds the reconstruction error near 1.3 $.
-        assert total_cost(vec, system) == pytest.approx(8439.5, abs=1.5)
+        assert ev.cost == pytest.approx(8439.5, abs=1.5)
 
     def test_penalized_batch_fields(self):
         system = load_system("system3")
@@ -362,5 +365,20 @@ class TestPerRowRepair:
                     others = x[:6].sum() - x[pk]
                     x[pk] = 600.0 + oracles.sys3_loss(*x[:6]) - others
                 assert abs(x[pk] - row[pk]) < 1e-9
+
+        check()
+
+    @pytest.mark.parametrize("name", ["system1", "system2", "system3"])
+    def test_repair_is_idempotent_around_the_box(self, name):
+        # a second repair may move a row by round-off (up to 2e-13 on
+        # system3), so this is a tolerance, not bit identity
+        system = load_system(name)
+        cfg = ConstraintConfig()
+
+        @PROPERTY
+        @given(_rows_around_box(system, 100))
+        def check(g):
+            once = repair_batch(g, system, cfg)
+            assert np.abs(repair_batch(once, system, cfg) - once).max() < 1e-9
 
         check()

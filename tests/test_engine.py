@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,8 @@ from chpdispatch import (
     FrontArchive,
     dominates,
     hypervolume_2d,
-    ibea_run,
-    idbea_run,
     indicator_ihd,
     load_system,
-    nsga2_run,
     run,
 )
 from chpdispatch import engine
@@ -647,8 +645,8 @@ class TestRuns:
     def test_seeded_runs_are_byte_identical(self):
         cfg = EngineConfig(population_size=20, max_evaluations=400,
                            rng_seed=7)
-        a = idbea_run(self.sys1, cfg, mode="chped")
-        b = idbea_run(self.sys1, cfg, mode="chped")
+        a = run(self.sys1, cfg, mode="chped")
+        b = run(self.sys1, cfg, mode="chped")
         assert a.genes.tobytes() == b.genes.tobytes()
         assert a.objectives.tobytes() == b.objectives.tobytes()
         assert a.violations.tobytes() == b.violations.tobytes()
@@ -659,18 +657,15 @@ class TestRuns:
                            rng_seed=7)
         other = EngineConfig(population_size=20, max_evaluations=400,
                              rng_seed=8)
-        a = idbea_run(self.sys1, cfg, mode="chped")
-        b = idbea_run(self.sys1, other, mode="chped")
+        a = run(self.sys1, cfg, mode="chped")
+        b = run(self.sys1, other, mode="chped")
         assert a.genes.tobytes() != b.genes.tobytes()
 
     def test_full_archive_keep_turns_idbea_into_ibea(self):
         cfg = EngineConfig(population_size=16, max_evaluations=320,
                            rng_seed=3)
-        plain = ibea_run(self.sys2, cfg)
-        kept = idbea_run(self.sys2,
-                         EngineConfig(population_size=16,
-                                      max_evaluations=320, rng_seed=3,
-                                      archive_keep_fraction=1.0))
+        plain = run(self.sys2, replace(cfg, algorithm="IBEA"))
+        kept = run(self.sys2, replace(cfg, archive_keep_fraction=1.0))
         assert plain.algorithm == "IBEA"
         assert kept.algorithm == "IDBEA"
         assert np.array_equal(plain.genes, kept.genes)
@@ -679,7 +674,7 @@ class TestRuns:
     def test_front_is_feasible_and_mutually_nondominated(self):
         cfg = EngineConfig(population_size=24, max_evaluations=480,
                            rng_seed=5)
-        front = idbea_run(self.sys2, cfg)
+        front = run(self.sys2, cfg)
         assert len(front) >= 1
         assert (front.violations < 1e-6).all()
         for i in range(len(front)):
@@ -691,15 +686,15 @@ class TestRuns:
     def test_chped_front_is_single_objective(self):
         cfg = EngineConfig(population_size=20, max_evaluations=400,
                            rng_seed=2)
-        front = idbea_run(self.sys1, cfg, mode="chped")
+        front = run(self.sys1, cfg, mode="chped")
         assert front.objectives.shape[1] == 1
         assert (front.objectives > 0.0).all()
 
     def test_nsga2_runs_and_is_deterministic(self):
         cfg = EngineConfig(population_size=20, max_evaluations=400,
                            rng_seed=4, algorithm="NSGA2")
-        a = nsga2_run(self.sys2, cfg)
-        b = nsga2_run(self.sys2, cfg)
+        a = run(self.sys2, cfg)
+        b = run(self.sys2, cfg)
         assert a.algorithm == "NSGA2"
         assert np.array_equal(a.genes, b.genes)
         for i in range(len(a)):
@@ -720,7 +715,7 @@ class TestRuns:
         front = _make_front(genes, raw, viol, self.sys1, cfg, seed=0,
                             evals=4)
         assert len(front) == 2
-        assert front.points == [(1.0, 4.0), (3.0, 1.0)]
+        assert front.objectives.tolist() == [[1.0, 4.0], [3.0, 1.0]]
         assert front.run_id == "system1-IDBEA-s0"
         assert front.system_id == "system1"
 
@@ -735,4 +730,4 @@ class TestArchiveContainer:
             n_evaluations=100,
         )
         assert len(arch) == 2
-        assert arch.points == [(1.0, 2.0), (3.0, 0.5)]
+        assert arch.objectives.tolist() == [[1.0, 2.0], [3.0, 0.5]]

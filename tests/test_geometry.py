@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chpdispatch import ForPolygon
+from chpdispatch import ForPolygon, load_system
 
-from oracles import polygon_contains_crossing, polygon_project_sampled
+from oracles import (polygon_chord_halfplanes, polygon_contains_crossing,
+                     polygon_project_sampled)
 
 # The two cogeneration regions of the first test system and the remaining
 # shapes from systems 2/3 cover a quad, pentagons and small quads.
@@ -13,6 +15,23 @@ SMALL = [(20.0, 0.0), (60.0, 0.0), (45.0, 55.0), (10.0, 40.0)]
 NARROW = [(86.0, 0.0), (105.0, 0.0), (88.0, 24.5), (78.0, 22.0)]
 
 ALL_SHAPES = [QUAD, PENTA, SMALL, NARROW]
+
+# the shapes above plus every region of the bundled systems
+REGIONS = [np.asarray(v, float) for v in ALL_SHAPES] + [
+    u.region.vertices for name in ("system1", "system2", "system3")
+    for u in load_system(name).cogen_units]
+
+# Derandomized, so every run of the suite draws the same examples.
+PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                    max_examples=200)
+
+
+def _contains(poly, point, tol=1e-9):
+    return bool(poly.contains_many(np.array([point], float), tol)[0])
+
+
+def _project(poly, point):
+    return tuple(poly.project_many(np.array([point], float))[0][0])
 
 
 class TestConstruction:
@@ -52,14 +71,14 @@ class TestContainment:
         for verts in ALL_SHAPES:
             poly = ForPolygon(verts)
             for v in verts:
-                assert poly.contains(v)
+                assert _contains(poly, v)
             centroid = np.mean(np.asarray(verts, float), axis=0)
-            assert poly.contains(centroid)
+            assert _contains(poly, centroid)
 
     def test_outside_points(self):
         poly = ForPolygon(PENTA)
         for q in [(0.0, 0.0), (126.5, 10.0), (80.0, 140.0), (39.0, 74.0)]:
-            assert not poly.contains(q)
+            assert not _contains(poly, q)
 
     def test_matches_crossing_oracle(self):
         rng = np.random.default_rng(42)
@@ -79,20 +98,21 @@ class TestContainment:
 class TestLineBounds:
     def test_power_bounds_known_value(self):
         # at 75 MWth the pentagon is cut between its two upper edges
-        lo, hi = ForPolygon(PENTA).power_bounds_at_heat(75.0)
-        assert lo == pytest.approx(40.0, abs=1e-12)
-        assert hi == pytest.approx(119.36046511627907, abs=1e-9)
+        lo, hi, hit = ForPolygon(PENTA).chord_bounds([75.0], axis=1)
+        assert hit[0]
+        assert lo[0] == pytest.approx(40.0, abs=1e-12)
+        assert hi[0] == pytest.approx(119.36046511627907, abs=1e-9)
 
     def test_heat_bounds_at_extreme_power(self):
-        b = ForPolygon(PENTA).heat_bounds_at_power(125.8)
-        assert b is not None
-        assert b[0] == pytest.approx(0.0, abs=1e-9)
-        assert b[1] == pytest.approx(32.4, abs=1e-9)
+        lo, hi, hit = ForPolygon(PENTA).chord_bounds([125.8], axis=0)
+        assert hit[0]
+        assert lo[0] == pytest.approx(0.0, abs=1e-9)
+        assert hi[0] == pytest.approx(32.4, abs=1e-9)
 
     def test_out_of_range_is_none(self):
         poly = ForPolygon(PENTA)
-        assert poly.power_bounds_at_heat(140.0) is None
-        assert poly.heat_bounds_at_power(30.0) is None
+        assert not poly.chord_bounds([140.0], axis=1)[2][0]
+        assert not poly.chord_bounds([30.0], axis=0)[2][0]
 
     def test_bounds_bracket_membership(self):
         # sweep heat levels: every bound pair must itself lie in the region
@@ -100,21 +120,21 @@ class TestLineBounds:
         for verts in ALL_SHAPES:
             poly = ForPolygon(verts)
             h_lo, h_hi = poly.heat_range
-            for h in rng.uniform(h_lo, h_hi, size=40):
-                lo, hi = poly.power_bounds_at_heat(float(h))
-                assert lo <= hi
-                assert poly.contains((lo, h), tol=1e-7)
-                assert poly.contains((hi, h), tol=1e-7)
-                mid = 0.5 * (lo + hi)
-                assert poly.contains((mid, h), tol=1e-7)
+            h = rng.uniform(h_lo, h_hi, size=40)
+            lo, hi, hit = poly.chord_bounds(h, axis=1)
+            assert hit.all()
+            assert np.all(lo <= hi)
+            for p in (lo, hi, 0.5 * (lo + hi)):
+                assert poly.contains_many(np.column_stack([p, h]),
+                                          tol=1e-7).all()
 
 
 class TestProjection:
     def test_interior_identity(self):
         poly = ForPolygon(QUAD)
         q = (150.0, 60.0)
-        assert poly.contains(q)
-        assert poly.project(q) == q
+        assert _contains(poly, q)
+        assert _project(poly, q) == q
 
     def test_projection_matches_sampling_oracle(self):
         # acceptance tolerance 1e-6 against dense boundary sampling
@@ -126,7 +146,7 @@ class TestProjection:
             hi = v.max(axis=0) + 30
             pts = rng.random((25, 2)) * (hi - lo) + lo
             for q in pts:
-                got = np.asarray(poly.project(q))
+                got = np.asarray(_project(poly, q))
                 want = polygon_project_sampled(verts, q)
                 assert np.allclose(got, want, atol=1e-6), (verts, q)
 
@@ -149,4 +169,67 @@ class TestProjection:
     def test_distance_outside_zero_inside(self):
         poly = ForPolygon(QUAD)
         inside = np.array([[150.0, 60.0], [100.0, 10.0], [200.0, 100.0]])
-        assert np.all(poly.distance_outside_many(inside) == 0.0)
+        assert np.all(poly.project_many(inside)[1] == 0.0)
+
+
+@st.composite
+def _chord_queries(draw):
+    """A region, an axis, values across that axis's range of the region
+    (the first n_inside of them) and values 1e-6 to 100 beyond it."""
+    verts = draw(st.sampled_from(REGIONS))
+    axis = draw(st.sampled_from((0, 1)))
+    lo, hi = verts[:, axis].min(), verts[:, axis].max()
+    inside = [min(hi, lo + f * (hi - lo)) for f in
+              draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))]
+    beyond = draw(st.lists(st.floats(1e-6, 100.0), max_size=5))
+    values = inside + [hi + d for d in beyond] + [lo - d for d in beyond]
+    return verts, axis, values, len(inside)
+
+
+class TestChordOracle:
+    @PROPERTY
+    @given(_chord_queries())
+    def test_chord_bounds_match_halfplane_oracle(self, query):
+        verts, axis, values, n_inside = query
+        lo, hi, hit = ForPolygon(verts).chord_bounds(np.array(values), axis)
+        for k, value in enumerate(values):
+            want = polygon_chord_halfplanes(verts, value, axis)
+            if k < n_inside:
+                assert hit[k] and want is not None
+                assert abs(lo[k] - want[0]) < 1e-9
+                assert abs(hi[k] - want[1]) < 1e-9
+            else:
+                assert not hit[k] and want is None
+
+
+@st.composite
+def _points_around(draw):
+    """A region and points in its bounding box widened by half its size
+    on each side."""
+    verts = draw(st.sampled_from(REGIONS))
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    frac = draw(st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)),
+                         min_size=1, max_size=30))
+    return verts, lo + np.array(frac) * (hi - lo)
+
+
+class TestProjectionProperties:
+    @PROPERTY
+    @given(_points_around())
+    def test_projection_is_idempotent(self, case):
+        verts, pts = case
+        poly = ForPolygon(verts)
+        once, _ = poly.project_many(pts)
+        again, dist = poly.project_many(once)
+        assert np.array_equal(again, once)
+        assert np.all(dist == 0.0)
+
+    @PROPERTY
+    @given(_points_around())
+    def test_interior_points_stay_put(self, case):
+        verts, pts = case
+        poly = ForPolygon(verts)
+        inside = poly.contains_many(pts)
+        proj, dist = poly.project_many(pts)
+        assert np.array_equal(proj[inside], pts[inside])
+        assert np.all(dist[inside] == 0.0)

@@ -10,14 +10,10 @@ from chpdispatch import (
     LossModel,
     PowerOnlyUnit,
     SystemLoadError,
-    balance_residuals,
-    capacity_violation,
     evaluate,
     load_system,
-    total_cost,
-    total_emission,
-    transmission_loss,
 )
+import chpdispatch
 from chpdispatch import model
 from chpdispatch.model import (
     capacity_violation_batch,
@@ -61,6 +57,24 @@ SWEEPS = [
 ]
 
 
+PUBLIC_NAMES = [
+    "CogenUnit", "ConstraintConfig", "DispatchVector", "EngineConfig",
+    "Evaluation", "ExperimentConfig", "ForPolygon", "FrontArchive",
+    "HeatOnlyUnit", "LossModel", "NormalizationBounds", "PowerOnlyUnit",
+    "RunRecord", "SystemDefinition", "SystemLoadError", "dominates",
+    "eaf_surfaces", "emit_reports", "evaluate", "hv_metric",
+    "hypervolume_2d", "indicator_ihd", "load_experiment", "load_system",
+    "repair_batch", "run", "run_experiment", "select_compromise",
+    "spread_delta", "wilcoxon_signed_rank",
+]
+
+
+def test_public_surface():
+    assert sorted(chpdispatch.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(chpdispatch, name) is not None
+
+
 class TestFormulaFidelity:
     """Objective formulas against the independent per-system oracles."""
 
@@ -71,25 +85,25 @@ class TestFormulaFidelity:
         rng = np.random.default_rng(97)
         for _ in range(300):
             x = _random_dispatch(bounds, rng)
-            vec = mk(x)
-            assert total_cost(vec, system) == pytest.approx(cost_fn(*x), rel=1e-10)
+            ev = evaluate(mk(x), system)
+            assert ev.cost == pytest.approx(cost_fn(*x), rel=1e-10)
             want_em = em_fn(*x)
             if want_em == 0.0:
-                assert total_emission(vec, system) == 0.0
+                assert ev.emission == 0.0
             else:
-                assert total_emission(vec, system) == pytest.approx(want_em, rel=1e-10)
+                assert ev.emission == pytest.approx(want_em, rel=1e-10)
             if loss_fn is None:
-                assert transmission_loss(vec, system) == 0.0
+                assert ev.loss == 0.0
             else:
-                assert transmission_loss(vec, system) == pytest.approx(
-                    loss_fn(x), rel=1e-10)
+                assert ev.loss == pytest.approx(loss_fn(x), rel=1e-10)
 
     def test_known_optimum_first_system(self):
         system = load_system("system1")
         vec = DispatchVector(p=[0.0], o=[160.0, 40.0], h=[40.0, 75.0], t=[0.0])
-        assert total_cost(vec, system) == pytest.approx(9257.075, rel=1e-12)
-        assert balance_residuals(vec, system) == (0.0, 0.0)
-        assert capacity_violation(vec, system) == 0.0
+        ev = evaluate(vec, system)
+        assert ev.cost == pytest.approx(9257.075, rel=1e-12)
+        assert (ev.power_residual, ev.heat_residual) == (0.0, 0.0)
+        assert ev.capacity_violation == 0.0
 
     def test_reported_compromise_loss(self):
         # Published compromise operating point for the 7-unit network; the
@@ -101,7 +115,7 @@ class TestFormulaFidelity:
             h=[92.5, 57.0],
             t=[1.6],
         )
-        loss = transmission_loss(vec, system)
+        loss = evaluate(vec, system).loss
         assert loss == pytest.approx(6.18408517, abs=1e-8)
         assert abs(loss - 6.1) < 0.15
 
@@ -113,7 +127,8 @@ class TestBalanceAndViolation:
         for _ in range(20):
             x = _random_dispatch(oracles.SYS3_BOUNDS, rng)
             vec = _sys3_vec(x)
-            p_res, h_res = balance_residuals(vec, system)
+            ev = evaluate(vec, system)
+            p_res, h_res = ev.power_residual, ev.heat_residual
             loss = oracles.sys3_loss(x[0], x[1], x[2], x[3], x[4], x[6])
             want_p = sum(x[:4]) + x[4] + x[6] - 600.0 - loss
             want_h = x[5] + x[7] + x[8] - 150.0
@@ -126,27 +141,16 @@ class TestBalanceAndViolation:
                              h=[40.0, 20.0, 10.0], t=[75.0])
         # Power unit sits 15 below its floor and the heat unit 15 above its
         # ceiling; both cogen points are interior so only the box terms count.
-        assert capacity_violation(vec, system) == pytest.approx(30.0, abs=1e-9)
+        assert evaluate(vec, system).capacity_violation == pytest.approx(30.0, abs=1e-9)
 
     def test_capacity_violation_region_distance(self):
         system = load_system("system1")
         vec = DispatchVector(p=[10.0], o=[160.0, 30.0], h=[40.0, 75.0], t=[0.0])
         region = system.cogen_units[1].region
-        want = region.distance_outside_many(np.array([[30.0, 75.0]]))[0]
+        want = region.project_many(np.array([[30.0, 75.0]]))[1][0]
         assert want > 0.0
-        assert capacity_violation(vec, system) == pytest.approx(want, rel=1e-12)
-
-    def test_evaluate_bundles_everything(self):
-        system = load_system("system2")
-        rng = np.random.default_rng(11)
-        x = _random_dispatch(oracles.SYS2_BOUNDS, rng)
-        vec = _sys2_vec(x)
-        ev = evaluate(vec, system)
-        assert ev.cost == total_cost(vec, system)
-        assert ev.emission == total_emission(vec, system)
-        assert ev.loss == transmission_loss(vec, system)
-        assert (ev.power_residual, ev.heat_residual) == balance_residuals(vec, system)
-        assert ev.capacity_violation == capacity_violation(vec, system)
+        assert evaluate(vec, system).capacity_violation == pytest.approx(
+            want, rel=1e-12)
 
     def test_evaluate_computes_the_loss_once(self, monkeypatch):
         system = load_system("system3")
@@ -177,11 +181,11 @@ class TestBatchConsistency:
         losses = loss_batch(p, o, system)
         viols = capacity_violation_batch(p, o, h, t, system)
         for k in range(len(rows)):
-            vec = _sys3_vec(rows[k])
-            assert costs[k] == pytest.approx(total_cost(vec, system), rel=1e-14)
-            assert ems[k] == pytest.approx(total_emission(vec, system), rel=1e-14)
-            assert losses[k] == pytest.approx(transmission_loss(vec, system), rel=1e-14)
-            assert viols[k] == pytest.approx(capacity_violation(vec, system), abs=1e-14)
+            ev = evaluate(_sys3_vec(rows[k]), system)
+            assert costs[k] == pytest.approx(ev.cost, rel=1e-14)
+            assert ems[k] == pytest.approx(ev.emission, rel=1e-14)
+            assert losses[k] == pytest.approx(ev.loss, rel=1e-14)
+            assert viols[k] == pytest.approx(ev.capacity_violation, abs=1e-14)
 
 
 class TestDispatchVector:
@@ -205,7 +209,7 @@ class TestDispatchVector:
         system = load_system("system1")
         vec = DispatchVector(p=[0.0, 0.0], o=[160.0, 40.0], h=[40.0, 75.0], t=[0.0])
         with pytest.raises(ValueError, match="do not match"):
-            total_cost(vec, system)
+            evaluate(vec, system)
 
 
 class TestUnitValidation:
@@ -328,6 +332,22 @@ class TestLoader:
             ' "loss": {"enabled": true, "b": [[1]], "b0": [-2], "b00": 0.5}}'
         )
         with pytest.raises(SystemLoadError, match="minimum -0.5 MW"):
+            load_system(f)
+
+    @pytest.mark.parametrize("units, message", [
+        ("heat_units", "no heat-only unit"),
+        ("power_units", "no power-only unit"),
+    ])
+    def test_demand_without_a_slack_unit_rejected(self, tmp_path, units,
+                                                  message):
+        # system2 has positive power and heat demand; without a unit of the
+        # matching kind repair cannot close that balance
+        data = json.loads(resources.files("chpdispatch.data")
+                          .joinpath("system2.json").read_text())
+        data[units] = []
+        f = tmp_path / "system2_edited.json"
+        f.write_text(json.dumps(data))
+        with pytest.raises(SystemLoadError, match=message):
             load_system(f)
 
     def test_bad_region_reported(self, tmp_path):
