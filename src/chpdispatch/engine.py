@@ -1,31 +1,36 @@
-"""Evolutionary core: indicator-based selection with a crowding-distance
-stage, plus an NSGA-II baseline.
+"""Evolutionary core: one generational loop for IDBEA, IBEA and NSGA2.
 
-Three algorithm tags share one machinery set. IDBEA selects in two stages
-each generation: indicator-based environmental selection reduces the merged
-parent/offspring pool to N / archive_keep_fraction rows, rounded up (250
-for the default N=200, fraction 0.8), and a crowding-distance stage keeps
-the most spread-out N of those (four fifths by default). The crowding stage
-drops the worst-ranked constraint-aware fronts first and prunes the boundary
-front one row at a time, recomputing crowding after every removal, so a
-cluster of neighbours never leaves all at once. IBEA is the same loop
-with the indicator stage selecting N rows directly and no crowding stage
-(as is IDBEA with archive_keep_fraction=1.0). NSGA2 is the classic
-generational baseline built from the same dominance, crowding, and
-variation primitives.
+A generator seeded from rng_seed draws a first population in the gene
+box. Each generation then repairs and evaluates the children, pools them
+(first) with the survivors, selects N survivors, and spawns N children by
+binary tournament, SBX and polynomial mutation over whole arrays. SBX
+children are clipped into the gene box before mutation, and clipped
+again after it. Survivor selection is the only per-algorithm step; it
+also returns the survivors' tournament key, lower winning:
+
+- IDBEA: indicator-based environmental selection reduces the pool to
+  N / archive_keep_fraction rows, rounded up (250 for the default N=200,
+  fraction 0.8), and a crowding stage keeps the most spread-out N of
+  those. It drops the worst-ranked constraint-aware fronts first and
+  prunes the boundary front one row at a time, recomputing crowding after
+  every removal, so a cluster of neighbours never leaves all at once.
+  Key: (violation, fitness).
+- IBEA: the indicator stage selects N rows directly, with no crowding
+  stage (as does IDBEA with archive_keep_fraction=1.0).
+- NSGA2: whole fronts best rank first, the boundary front cut by
+  crowding. Key: (rank, -crowding).
 
 Fitness orientation: each individual accumulates exp(-I/(c*kappa)) over
 the scaled pairwise hypervolume indicator values against it, so dominated
 individuals collect large sums and the worst individual is the argmax.
 Environmental selection removes that argmax repeatedly, updating the sums
-incrementally. Mating tournaments read the fitness the indicator stage
-leaves behind.
+incrementally.
 
 Selection operates on raw objectives; constraint pressure enters as a
 feasibility layer (infeasible individuals lose tournaments and are evicted
-first, largest violation first). Archives keep the raw cost/emission values
-of the repaired dispatches, so re-evaluating stored genes reproduces the
-stored objectives exactly.
+first, largest violation first). Survivors keep the raw cost/emission
+values of the repaired dispatches, so re-evaluating stored genes
+reproduces the stored objectives exactly.
 
 Single-objective mode ("chped") runs the same loop on the cost axis alone;
 dominance degenerates to scalar comparison and the crowding stage is
@@ -230,7 +235,7 @@ def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int,
 
 
 # ---------------------------------------------------------------------------
-# Crowding distance.
+# Crowding distance and non-dominated sorting.
 # ---------------------------------------------------------------------------
 
 def _crowding(objs: np.ndarray) -> np.ndarray:
@@ -274,51 +279,6 @@ def _crowding_truncate(objs: np.ndarray, viol: np.ndarray,
     return np.sort(np.concatenate(kept))
 
 
-# ---------------------------------------------------------------------------
-# Variation operators and the binary tournament.
-# ---------------------------------------------------------------------------
-
-def _sbx_pair(a, b, lower, upper, cfg: EngineConfig, rng):
-    if rng.random() >= cfg.crossover_prob:
-        return a.copy(), b.copy()
-    u = rng.random(a.shape[0])
-    mask = rng.random(a.shape[0]) < 0.5
-    exp = 1.0 / (cfg.sbx_eta + 1.0)
-    beta = np.where(u <= 0.5, (2.0 * u) ** exp,
-                    (1.0 / (2.0 * (1.0 - u))) ** exp)
-    c1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
-    c2 = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
-    c1 = np.where(mask, c1, a)
-    c2 = np.where(mask, c2, b)
-    return np.clip(c1, lower, upper), np.clip(c2, lower, upper)
-
-
-def _pm_genes(x, lower, upper, cfg: EngineConfig, rng, pm_prob: float):
-    y = x.copy()
-    do = rng.random(x.shape[0]) < pm_prob
-    k = int(do.sum())
-    if k == 0:
-        return y
-    r = rng.random(k)
-    exp = 1.0 / (cfg.pm_eta + 1.0)
-    delta = np.where(r < 0.5, (2.0 * r) ** exp - 1.0,
-                     1.0 - (2.0 * (1.0 - r)) ** exp)
-    y[do] += delta * (upper[do] - lower[do])
-    return np.clip(y, lower, upper)
-
-
-def _tournament_idx(primary: np.ndarray, secondary: np.ndarray, rng) -> int:
-    """Binary tournament on the key (primary, secondary), lower winning:
-    (violation, fitness) for the indicator loop, (rank, -crowding) for
-    NSGA2. Exact ties keep the first draw."""
-    i, j = rng.integers(0, primary.shape[0], size=2)
-    i, j = int(i), int(j)
-    if primary[j] < primary[i] or (primary[j] == primary[i]
-                                   and secondary[j] < secondary[i]):
-        return j
-    return i
-
-
 def _fast_nds(objs: np.ndarray, viol: np.ndarray) -> list:
     """Ranked fronts as index arrays, constraint-aware."""
     d = _domination_matrix(objs, viol)
@@ -335,8 +295,109 @@ def _fast_nds(objs: np.ndarray, viol: np.ndarray) -> list:
     return fronts
 
 
+def _ranks_and_crowding(objs: np.ndarray, viol: np.ndarray):
+    """Constraint-aware fronts, plus each row's front rank and its
+    crowding distance within its front."""
+    fronts = _fast_nds(objs, viol)
+    ranks = np.empty(objs.shape[0], dtype=np.int64)
+    crowd = np.zeros(objs.shape[0])
+    for r, idx in enumerate(fronts):
+        ranks[idx] = r
+        crowd[idx] = _crowding(objs[idx])
+    return fronts, ranks, crowd
+
+
 # ---------------------------------------------------------------------------
-# Engine loops.
+# Survivor selection, the one per-algorithm step. Each returns (survivor
+# indices into the pool, primary key, secondary key): the survivors and
+# their tournament key, lower winning.
+# ---------------------------------------------------------------------------
+
+def _indicator_select(objs: np.ndarray, viol: np.ndarray, ecfg: EngineConfig):
+    """IDBEA/IBEA: indicator-based selection down to the pool size, then
+    (IDBEA, two objectives) the crowding stage down to N. Key:
+    (effective violation, fitness)."""
+    n = ecfg.population_size
+    crowd = ecfg.algorithm == "IDBEA" and objs.shape[1] == 2
+    n_pool = int(np.ceil(n / ecfg.archive_keep_fraction)) if crowd else n
+    if objs.shape[0] > n_pool:
+        alive, fit, _ = _env_select(objs, viol, n_pool, ecfg.kappa)
+    else:
+        fit, _ = _indicator_fitness(objs, ecfg.kappa)
+        alive = np.arange(objs.shape[0])
+    if alive.shape[0] > n:
+        alive = alive[_crowding_truncate(objs[alive], viol[alive], n)]
+    return alive, _effective_violation(viol[alive]), fit[alive]
+
+
+def _nsga2_select(objs: np.ndarray, viol: np.ndarray, ecfg: EngineConfig):
+    """NSGA2: whole fronts best rank first, the boundary front cut by
+    descending crowding (first rows on ties). Key: (rank, -crowding)."""
+    n = ecfg.population_size
+    fronts, ranks, crowd = _ranks_and_crowding(objs, viol)
+    chosen: list[int] = []
+    for idx in fronts:
+        if len(chosen) + idx.shape[0] <= n:
+            chosen.extend(idx.tolist())
+        else:
+            order = np.argsort(-crowd[idx], kind="stable")
+            chosen.extend(idx[order[:n - len(chosen)]].tolist())
+            break
+    pick = np.array(chosen)
+    return pick, ranks[pick], -crowd[pick]
+
+
+# ---------------------------------------------------------------------------
+# Variation: binary tournament, SBX and polynomial mutation over arrays.
+# ---------------------------------------------------------------------------
+
+def _tournament(primary: np.ndarray, secondary: np.ndarray, k: int,
+                rng) -> np.ndarray:
+    """Winners of k binary tournaments on the key (primary, secondary),
+    lower winning. One (2, k) index draw; in each column the second draw
+    wins only if it is strictly better, so exact ties keep the first."""
+    i, j = rng.integers(0, primary.shape[0], size=(2, k))
+    better = (primary[j] < primary[i]) | ((primary[j] == primary[i])
+                                          & (secondary[j] < secondary[i]))
+    return np.where(better, j, i)
+
+
+def _spawn_children(genes, primary, secondary, lower, upper,
+                    ecfg: EngineConfig, rng, pm_prob: float) -> np.ndarray:
+    """N children of the survivors: tournament winners 0::2 and 1::2 pair
+    up, SBX (Deb & Agrawal 1995) writes c1 to rows 0::2 and c2 to rows
+    1::2, the children are clipped into the gene box, then polynomial
+    mutation (Deb & Goyal 1996) moves each gene with probability pm_prob
+    and the result is clipped again. Draws, in order: the (2, N) tournament
+    indices; one crossover flag per pair; the SBX spread u and the
+    per-gene exchange mask, (N/2, m) each; the mutation flags and the
+    mutation r, (N, m) each."""
+    n, m = ecfg.population_size, genes.shape[1]
+    win = _tournament(primary, secondary, n, rng)
+    a, b = genes[win[0::2]], genes[win[1::2]]
+    cross = rng.random(n // 2) < ecfg.crossover_prob
+    u = rng.random((n // 2, m))
+    mask = (rng.random((n // 2, m)) < 0.5) & cross[:, None]
+    exp = 1.0 / (ecfg.sbx_eta + 1.0)
+    beta = np.where(u <= 0.5, (2.0 * u) ** exp,
+                    (1.0 / (2.0 * (1.0 - u))) ** exp)
+    c1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
+    c2 = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
+    children = np.empty((n, m))
+    children[0::2] = np.where(mask, c1, a)
+    children[1::2] = np.where(mask, c2, b)
+    np.clip(children, lower, upper, out=children)
+    do = rng.random((n, m)) < pm_prob
+    r = rng.random((n, m))
+    exp = 1.0 / (ecfg.pm_eta + 1.0)
+    delta = np.where(r < 0.5, (2.0 * r) ** exp - 1.0,
+                     1.0 - (2.0 * (1.0 - r)) ** exp)
+    children = np.where(do, children + delta * (upper - lower), children)
+    return np.clip(children, lower, upper)
+
+
+# ---------------------------------------------------------------------------
+# The generational loop.
 # ---------------------------------------------------------------------------
 
 def _raw_objs(ev, n_objs: int) -> np.ndarray:
@@ -363,139 +424,37 @@ def _make_front(genes, raw, viol, system, ecfg, seed, evals) -> FrontArchive:
     )
 
 
-def _spawn_children(arch_genes, pick_parent, lower, upper, ecfg, rng,
-                    pm_prob):
-    n, m = ecfg.population_size, arch_genes.shape[1]
-    children = np.empty((n, m))
-    filled = 0
-    while filled < n:
-        pa = pick_parent(rng)
-        pb = pick_parent(rng)
-        c1, c2 = _sbx_pair(arch_genes[pa], arch_genes[pb], lower, upper,
-                           ecfg, rng)
-        children[filled] = _pm_genes(c1, lower, upper, ecfg, rng, pm_prob)
-        filled += 1
-        if filled < n:
-            children[filled] = _pm_genes(c2, lower, upper, ecfg, rng, pm_prob)
-            filled += 1
-    return children
-
-
-def _setup(system, ecfg, ccfg, mode):
-    """The start both loops share: a generator seeded from ecfg.rng_seed
-    draws a random first population in the gene box, which is evaluated.
-    Returns (breed, (genes, objectives, violations) of that population);
-    breed(parents, pick_parent) spawns N children by tournament, SBX and
-    polynomial mutation (rate 1 / n_genes unless configured) and returns
-    them evaluated the same way."""
+def run(system: SystemDefinition, ecfg: EngineConfig,
+        ccfg: ConstraintConfig | None = None, mode: str = "chpeed",
+        ) -> FrontArchive:
+    """Run the configured algorithm to its evaluation budget and return
+    the first non-dominated front of the final survivors."""
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}")
+    if ccfg is None:
+        ccfg = ConstraintConfig()
+    select = _nsga2_select if ecfg.algorithm == "NSGA2" else _indicator_select
     rng = np.random.default_rng(ecfg.rng_seed)
     lower, upper = system.gene_bounds()
     n_objs = 1 if mode == "chped" else 2
     pm_prob = ecfg.mutation_prob
     if pm_prob is None:
         pm_prob = 1.0 / system.n_genes
-
-    def evaluated(genes):
-        ev = evaluate_batch(genes, system, ccfg)
-        return ev.genes, _raw_objs(ev, n_objs), ev.violation
-
-    def breed(parents, pick_parent):
-        return evaluated(_spawn_children(parents, pick_parent, lower, upper,
-                                         ecfg, rng, pm_prob))
-
-    genes = rng.random((ecfg.population_size, system.n_genes)) \
-        * (upper - lower) + lower
-    return breed, evaluated(genes)
-
-
-def _indicator_loop(system, ecfg, ccfg, mode) -> FrontArchive:
-    breed, (p_genes, p_objs, p_viol) = _setup(system, ecfg, ccfg, mode)
     n = ecfg.population_size
-    crowd = ecfg.algorithm == "IDBEA" and p_objs.shape[1] == 2
-    n_pool = int(np.ceil(n / ecfg.archive_keep_fraction)) if crowd else n
+    ev = evaluate_batch(rng.random((n, system.n_genes)) * (upper - lower)
+                        + lower, system, ccfg)
+    genes, objs, viol = ev.genes, _raw_objs(ev, n_objs), ev.violation
     evals = n
-    a_genes, a_objs, a_viol = p_genes[:0], p_objs[:0], p_viol[:0]
-
     while True:
-        q_genes = np.vstack([p_genes, a_genes])
-        q_objs = np.vstack([p_objs, a_objs])
-        q_viol = np.concatenate([p_viol, a_viol])
-
-        if q_genes.shape[0] > n_pool:
-            alive, fit, _ = _env_select(q_objs, q_viol, n_pool, ecfg.kappa)
-        else:
-            fit, _ = _indicator_fitness(q_objs, ecfg.kappa)
-            alive = np.arange(q_genes.shape[0])
-        if alive.shape[0] > n:
-            alive = alive[_crowding_truncate(q_objs[alive], q_viol[alive], n)]
-        a_genes, a_objs, a_viol = q_genes[alive], q_objs[alive], q_viol[alive]
-        a_fit, a_veff = fit[alive], _effective_violation(q_viol[alive])
-
+        keep, primary, secondary = select(objs, viol, ecfg)
+        genes, objs, viol = genes[keep], objs[keep], viol[keep]
         if evals >= ecfg.max_evaluations:
-            return _make_front(a_genes, a_objs, a_viol, system, ecfg,
+            return _make_front(genes, objs, viol, system, ecfg,
                                ecfg.rng_seed, evals)
-
-        p_genes, p_objs, p_viol = breed(
-            a_genes, lambda r: _tournament_idx(a_veff, a_fit, r))
+        ev = evaluate_batch(_spawn_children(genes, primary, secondary, lower,
+                                            upper, ecfg, rng, pm_prob),
+                            system, ccfg)
         evals += n
-
-
-def _ranks_and_crowding(objs: np.ndarray, viol: np.ndarray):
-    """Constraint-aware fronts, plus each row's front rank and its
-    crowding distance within its front."""
-    fronts = _fast_nds(objs, viol)
-    ranks = np.empty(objs.shape[0], dtype=np.int64)
-    crowd = np.zeros(objs.shape[0])
-    for r, idx in enumerate(fronts):
-        ranks[idx] = r
-        crowd[idx] = _crowding(objs[idx])
-    return fronts, ranks, crowd
-
-
-def _nsga2_loop(system, ecfg, ccfg, mode) -> FrontArchive:
-    breed, (p_genes, p_objs, p_viol) = _setup(system, ecfg, ccfg, mode)
-    n = ecfg.population_size
-    evals = n
-    _, ranks, crowd = _ranks_and_crowding(p_objs, p_viol)
-
-    while evals < ecfg.max_evaluations:
-        neg_crowd = -crowd
-        c_genes, c_objs, c_viol = breed(
-            p_genes, lambda r: _tournament_idx(ranks, neg_crowd, r))
-        evals += n
-
-        r_genes = np.vstack([p_genes, c_genes])
-        r_objs = np.vstack([p_objs, c_objs])
-        r_viol = np.concatenate([p_viol, c_viol])
-        r_fronts, r_ranks, r_crowd = _ranks_and_crowding(r_objs, r_viol)
-
-        chosen: list[int] = []
-        for idx in r_fronts:
-            if len(chosen) + idx.shape[0] <= n:
-                chosen.extend(idx.tolist())
-            else:
-                need = n - len(chosen)
-                order = np.argsort(-r_crowd[idx], kind="stable")
-                chosen.extend(idx[order[:need]].tolist())
-                break
-        pick = np.array(chosen)
-        p_genes, p_objs, p_viol = r_genes[pick], r_objs[pick], r_viol[pick]
-        ranks, crowd = r_ranks[pick], r_crowd[pick]
-
-    return _make_front(p_genes, p_objs, p_viol, system, ecfg,
-                       ecfg.rng_seed, evals)
-
-
-def run(system: SystemDefinition, ecfg: EngineConfig,
-        ccfg: ConstraintConfig | None = None, mode: str = "chpeed",
-        ) -> FrontArchive:
-    """Run the configured algorithm to its evaluation budget and return
-    the first non-dominated front of the final archive."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
-    if ccfg is None:
-        ccfg = ConstraintConfig()
-    if ecfg.algorithm == "NSGA2":
-        return _nsga2_loop(system, ecfg, ccfg, mode)
-    return _indicator_loop(system, ecfg, ccfg, mode)
-
+        genes = np.vstack([ev.genes, genes])
+        objs = np.vstack([_raw_objs(ev, n_objs), objs])
+        viol = np.concatenate([ev.violation, viol])

@@ -88,7 +88,6 @@ class LossModel:
     b_matrix: np.ndarray
     b0_vector: np.ndarray
     b00: float
-    enabled: bool = True
 
     def __post_init__(self):
         b = np.asarray(self.b_matrix, float)
@@ -126,7 +125,7 @@ class SystemDefinition:
             raise ValueError("power demand is positive but the system has no "
                              "power-only unit to close the power balance")
         n_elec = len(self.power_units) + len(self.cogen_units)
-        if self.loss is not None and self.loss.enabled:
+        if self.loss is not None:
             if self.loss.b_matrix.shape[0] != n_elec:
                 raise ValueError(
                     f"loss b matrix is {self.loss.b_matrix.shape[0]}x"
@@ -153,7 +152,7 @@ class SystemDefinition:
 
     @property
     def loss_enabled(self) -> bool:
-        return self.loss is not None and self.loss.enabled
+        return self.loss is not None
 
     @cached_property
     def loss_weights(self) -> np.ndarray:
@@ -507,7 +506,7 @@ def load_system(path_or_name) -> SystemDefinition:
         for key, value in (("b", b), ("b0", b0), ("b00", b00)):
             _require_finite(f"loss {key}", value)
         try:
-            loss = LossModel(b_matrix=b, b0_vector=b0, b00=b00, enabled=True)
+            loss = LossModel(b_matrix=b, b0_vector=b0, b00=b00)
         except ValueError as exc:
             raise SystemLoadError(f"loss: {exc}") from exc
 

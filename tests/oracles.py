@@ -376,6 +376,55 @@ def crowding_bruteforce(objectives):
 
 
 # ---------------------------------------------------------------------------
+# SBX (Deb & Agrawal 1995) and polynomial mutation (Deb & Goyal 1996), one
+# pair and one gene at a time, from given uniform draws.
+# ---------------------------------------------------------------------------
+
+def sbx_pm_children(pairs, cross, u, swap, mutate, r, lower, upper,
+                    sbx_eta, pm_eta):
+    """Children rows c1, c2 for each parent pair (a, b), in pair order.
+
+    cross[k]: pair k recombines; u[k][g], swap[k][g]: the SBX spread draw
+    and whether gene g is exchanged; mutate[c][g], r[c][g]: whether gene g
+    of child c mutates and its draw. Each SBX child is clipped into its
+    box before mutation, and again after it."""
+    def clip(x, lo, hi):
+        return min(max(x, lo), hi)
+
+    kids = []
+    for k, (a, b) in enumerate(pairs):
+        c1, c2 = [], []
+        for g in range(len(a)):
+            if cross[k] and swap[k][g]:
+                if u[k][g] <= 0.5:
+                    beta = math.pow(2.0 * u[k][g], 1.0 / (sbx_eta + 1.0))
+                else:
+                    beta = math.pow(1.0 / (2.0 * (1.0 - u[k][g])),
+                                    1.0 / (sbx_eta + 1.0))
+                x1 = 0.5 * ((1.0 + beta) * a[g] + (1.0 - beta) * b[g])
+                x2 = 0.5 * ((1.0 - beta) * a[g] + (1.0 + beta) * b[g])
+            else:
+                x1, x2 = a[g], b[g]
+            c1.append(clip(x1, lower[g], upper[g]))
+            c2.append(clip(x2, lower[g], upper[g]))
+        kids.extend([c1, c2])
+    out = []
+    for c, child in enumerate(kids):
+        row = []
+        for g, x in enumerate(child):
+            if mutate[c][g]:
+                if r[c][g] < 0.5:
+                    delta = math.pow(2.0 * r[c][g], 1.0 / (pm_eta + 1.0)) - 1.0
+                else:
+                    delta = 1.0 - math.pow(2.0 * (1.0 - r[c][g]),
+                                           1.0 / (pm_eta + 1.0))
+                x = clip(x + delta * (upper[g] - lower[g]), lower[g], upper[g])
+            row.append(x)
+        out.append(row)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Wilcoxon signed-rank p-value by exhaustive sign enumeration (n <= ~16).
 # ---------------------------------------------------------------------------
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chpdispatch import (
     ConstraintConfig,
@@ -24,33 +25,45 @@ from chpdispatch.engine import (
     _fast_nds,
     _indicator_fitness,
     _make_front,
-    _pm_genes,
     _ranks_and_crowding,
-    _sbx_pair,
-    _setup,
-    _tournament_idx,
+    _spawn_children,
+    _tournament,
 )
 
 import oracles
 
 KAPPA = EngineConfig().kappa
+_DYADIC = st.integers(0, 336).map(lambda k: k / 256)
 
 
 def _cfg(**kw):
     kw.setdefault("population_size", 4)
-    kw.setdefault("max_evaluations", 4)
+    kw.setdefault("max_evaluations", kw["population_size"])
     return EngineConfig(**kw)
 
 
 class _ScriptedRng:
-    """Stands in for a Generator in tournament tests: hands out preset
-    index pairs."""
+    """Stands in for a Generator: hands out preset draws in order, each
+    of the shape the caller asks for."""
 
-    def __init__(self, pairs):
-        self._pairs = list(pairs)
+    def __init__(self, draws):
+        self._draws = [np.asarray(d) for d in draws]
+
+    def _next(self, size):
+        draw = self._draws.pop(0)
+        assert draw.shape == np.empty(size).shape
+        return draw
 
     def integers(self, low, high, size):
-        return np.array(self._pairs.pop(0))
+        return self._next(size)
+
+    def random(self, size):
+        return self._next(size)
+
+
+def _pairs(*pairs):
+    """Tournament draws (i, j) as the (2, k) index array one call takes."""
+    return np.array(pairs).T
 
 
 class TestConfig:
@@ -159,6 +172,17 @@ class TestHypervolume:
             base = hypervolume_2d(pts)
             grown = hypervolume_2d(np.vstack([pts, extra]))
             assert grown >= base - 1e-12
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=500)
+    @given(pts=st.lists(st.tuples(_DYADIC, _DYADIC), max_size=12),
+           extra=st.tuples(_DYADIC, _DYADIC))
+    def test_adding_a_point_never_decreases_exactly(self, pts, extra):
+        # on a 1/256 grid with a dyadic reference every strip area and
+        # every partial sum is exact, so any decrease would be a sweep
+        # fault, not rounding; points on or past the reference included
+        ref = (1.25, 1.25)
+        assert hypervolume_2d(pts + [extra], ref) >= hypervolume_2d(pts, ref)
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(77)
@@ -393,146 +417,182 @@ class TestVariation:
         self.lower = np.zeros(6)
         self.upper = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 
+    def _spawn(self, genes, rng, pm_prob, **cfg):
+        # flat keys: every tournament keeps its first draw
+        keys = np.zeros(genes.shape[0])
+        return _spawn_children(genes, keys, keys, self.lower, self.upper,
+                               _cfg(**cfg), rng, pm_prob)
+
+    def _in_box(self, n, rng):
+        return self.lower + rng.random((n, 6)) * (self.upper - self.lower)
+
     def test_sbx_without_event_copies_parents(self):
-        rng = np.random.default_rng(0)
-        a, b = np.full(6, 0.5), np.full(6, 1.5)
-        c1, c2 = _sbx_pair(a, b, self.lower, self.upper,
-                           _cfg(crossover_prob=0.0), rng)
-        assert np.array_equal(c1, a) and np.array_equal(c2, b)
-        assert c1 is not a and c2 is not b
+        genes = self._in_box(5, np.random.default_rng(10))
+        kids = self._spawn(genes, np.random.default_rng(0), 0.0,
+                           crossover_prob=0.0, population_size=8)
+        keys = np.zeros(5)
+        win = _tournament(keys, keys, 8, np.random.default_rng(0))
+        assert np.array_equal(kids, genes[win])
+        assert not np.shares_memory(kids, genes)
 
     def test_sbx_identical_parents_identical_children(self):
         rng = np.random.default_rng(1)
         a = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
         for _ in range(20):
-            c1, c2 = _sbx_pair(a, a.copy(), self.lower, self.upper,
-                               _cfg(crossover_prob=1.0), rng)
-            assert np.allclose(c1, a, atol=1e-12)
-            assert np.allclose(c2, a, atol=1e-12)
+            kids = self._spawn(np.tile(a, (3, 1)), rng, 0.0,
+                               crossover_prob=1.0)
+            assert np.allclose(kids, a, atol=1e-12)
 
     def test_sbx_children_stay_in_bounds(self):
         rng = np.random.default_rng(2)
-        cfg = _cfg()
-        span = self.upper - self.lower
-        for _ in range(20000):
-            a = self.lower + rng.random(6) * span
-            b = self.lower + rng.random(6) * span
-            c1, c2 = _sbx_pair(a, b, self.lower, self.upper, cfg, rng)
-            assert (c1 >= self.lower).all() and (c1 <= self.upper).all()
-            assert (c2 >= self.lower).all() and (c2 <= self.upper).all()
+        for _ in range(20):
+            kids = self._spawn(self._in_box(2000, rng), rng, 0.0,
+                               population_size=2000)
+            assert (kids >= self.lower).all() and (kids <= self.upper).all()
 
     def test_mutation_probability_zero_is_identity(self):
-        rng = np.random.default_rng(4)
         x = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-        y = _pm_genes(x, self.lower, self.upper, _cfg(), rng, pm_prob=0.0)
-        assert np.array_equal(y, x)
-        assert y is not x
+        genes = np.tile(x, (4, 1))
+        kids = self._spawn(genes, np.random.default_rng(4), 0.0,
+                           crossover_prob=0.0)
+        assert np.array_equal(kids, genes)
+        assert not np.shares_memory(kids, genes)
 
     def test_mutation_at_lower_bound_only_moves_up(self):
         rng = np.random.default_rng(5)
-        x = self.lower.copy()
+        genes = np.tile(self.lower, (4, 1))
         saw_increase = False
         for _ in range(500):
-            y = _pm_genes(x, self.lower, self.upper, _cfg(), rng, pm_prob=1.0)
-            assert (y >= self.lower).all()
-            saw_increase = saw_increase or (y > self.lower).any()
+            kids = self._spawn(genes, rng, 1.0)
+            assert (kids >= self.lower).all()
+            saw_increase = saw_increase or (kids > self.lower).any()
         assert saw_increase
 
     def test_mutation_event_rate(self):
         rng = np.random.default_rng(6)
         x = 0.5 * (self.lower + self.upper)
-        big_lower = np.tile(self.lower, 200)
-        big_upper = np.tile(self.upper, 200)
-        big_x = np.tile(x, 200)
+        genes = np.tile(x, (1000, 1))
         changed = 0
         total = 0
-        for _ in range(850):
-            y = _pm_genes(big_x, big_lower, big_upper, _cfg(), rng,
-                          pm_prob=0.3)
-            changed += int((y != big_x).sum())
-            total += big_x.shape[0]
+        for _ in range(170):
+            kids = self._spawn(genes, rng, 0.3, crossover_prob=0.0,
+                               population_size=1000)
+            changed += int((kids != x).sum())
+            total += kids.size
         rate = changed / total
         sigma = np.sqrt(0.3 * 0.7 / total)
         assert abs(rate - 0.3) < 3.0 * sigma
 
     def test_mutation_wrapper_default_rate_is_one_over_genes(self,
                                                              monkeypatch):
-        # the loops' shared set-up hands _spawn_children the rate
+        # run hands _spawn_children the rate
         system = load_system("system1")
         lower, upper = system.gene_bounds()
-        cfg = _cfg()  # mutation_prob None
         rates = []
-        monkeypatch.setattr(engine, "_spawn_children",
-                            lambda *args: rates.append(args[-1]) or args[0])
-        breed, (genes, _, _) = _setup(system, cfg, ConstraintConfig(),
-                                      "chpeed")
-        breed(genes, None)
+
+        def spy(*args):
+            rates.append(args[-1])
+            return _spawn_children(*args)
+
+        monkeypatch.setattr(engine, "_spawn_children", spy)
+        run(system, _cfg(max_evaluations=8))  # mutation_prob None
         (pm_prob,) = rates
         rng = np.random.default_rng(7)
         mid = 0.5 * (lower + upper)
+        keys = np.zeros(4)
         changed = 0
         total = 0
-        for _ in range(3000):
-            y = _pm_genes(mid, lower, upper, cfg, rng, pm_prob)
-            changed += int((y != mid).sum())
-            total += 6
+        for _ in range(750):
+            kids = _spawn_children(np.tile(mid, (4, 1)), keys, keys, lower,
+                                   upper, _cfg(crossover_prob=0.0), rng,
+                                   pm_prob)
+            changed += int((kids != mid).sum())
+            total += kids.size
         rate = changed / total
         p = 1.0 / 6.0
         sigma = np.sqrt(p * (1 - p) / total)
         assert abs(rate - p) < 3.0 * sigma
 
+    def test_matches_operator_oracle(self):
+        # scripted draws in the order _spawn_children takes them. Genes 0
+        # of the first pair's SBX children leave the box (-0.145 and
+        # 1.145) and then mutate, so mutating before clipping, or any
+        # reordered draw, moves the result
+        lower, upper = np.zeros(3), np.array([1.0, 2.0, 4.0])
+        genes = np.array([[0.02, 1.0, 2.0], [0.98, 0.5, 3.5],
+                          [0.5, 1.5, 0.1]])
+        primary = np.array([0.0, 0.0, 1.0])
+        secondary = np.array([0.0, 1.0, 2.0])
+        # winners 0, 1, 2, 0: pairs (row 0, row 1) and (row 2, row 0)
+        draws = [_pairs((0, 2), (1, 2), (2, 2), (1, 0)),
+                 [0.3, 0.95],
+                 [[0.999, 0.2, 0.7], [0.1, 0.9, 0.4]],
+                 [[0.1, 0.6, 0.3], [0.2, 0.1, 0.7]],
+                 [[0.1, 0.9, 0.2], [0.05, 0.6, 0.9],
+                  [0.3, 0.02, 0.8], [0.7, 0.1, 0.4]],
+                 [[0.8, 0.3, 0.1], [0.2, 0.6, 0.45],
+                  [0.5, 0.05, 0.9], [0.35, 0.97, 0.55]]]
+        cfg = _cfg(crossover_prob=0.9)
+        pm_prob = 0.25
+        kids = _spawn_children(genes, primary, secondary, lower, upper, cfg,
+                               _ScriptedRng(draws), pm_prob)
+        cross, u, swap, mutate, r = (np.asarray(d) for d in draws[1:])
+        want = oracles.sbx_pm_children(
+            [(genes[0].tolist(), genes[1].tolist()),
+             (genes[2].tolist(), genes[0].tolist())],
+            (cross < cfg.crossover_prob).tolist(), u.tolist(),
+            (swap < 0.5).tolist(), (mutate < pm_prob).tolist(), r.tolist(),
+            lower.tolist(), upper.tolist(), cfg.sbx_eta, cfg.pm_eta)
+        assert np.allclose(kids, want, rtol=0.0, atol=1e-12)
+
 
 class TestTournament:
     def test_single_individual_archive(self):
         rng = np.random.default_rng(0)
-        assert _tournament_idx(np.zeros(1), np.zeros(1), rng) == 0
+        assert _tournament(np.zeros(1), np.zeros(1), 4, rng).tolist() \
+            == [0, 0, 0, 0]
 
     def test_scripted_draws(self):
         veff, fitness = np.zeros(2), np.array([1.0, 2.0])
-        rng = _ScriptedRng([(0, 1), (1, 0), (1, 1), (0, 0)])
+        rng = _ScriptedRng([_pairs((0, 1), (1, 0), (1, 1), (0, 0))])
         # lower fitness wins either way round; equal draws return themselves
-        assert _tournament_idx(veff, fitness, rng) == 0
-        assert _tournament_idx(veff, fitness, rng) == 0
-        assert _tournament_idx(veff, fitness, rng) == 1
-        assert _tournament_idx(veff, fitness, rng) == 0
+        assert _tournament(veff, fitness, 4, rng).tolist() == [0, 0, 1, 0]
 
     def test_feasible_beats_infeasible(self):
         veff = _effective_violation(np.array([0.5, 0.0]))
         fitness = np.array([0.0, 99.0])
-        rng = _ScriptedRng([(0, 1), (1, 0)])
-        assert _tournament_idx(veff, fitness, rng) == 1
-        assert _tournament_idx(veff, fitness, rng) == 1
+        rng = _ScriptedRng([_pairs((0, 1), (1, 0))])
+        assert _tournament(veff, fitness, 2, rng).tolist() == [1, 1]
 
     def test_violation_below_tolerance_is_feasible(self):
         veff = _effective_violation(np.array([1e-12, 0.0]))
         fitness = np.array([1.0, 2.0])
-        rng = _ScriptedRng([(1, 0)])
-        assert _tournament_idx(veff, fitness, rng) == 0
+        rng = _ScriptedRng([_pairs((1, 0))])
+        assert _tournament(veff, fitness, 1, rng).tolist() == [0]
 
     def test_rank_then_crowding(self):
         # NSGA2's key: lower rank wins, then larger crowding; two
         # infinite crowding values tie and keep the first draw
         ranks = np.array([0, 1, 0, 0])
         neg_crowd = -np.array([0.5, 9.0, np.inf, np.inf])
-        rng = _ScriptedRng([(1, 0), (0, 1), (0, 2), (2, 0), (3, 2), (2, 3)])
-        assert [_tournament_idx(ranks, neg_crowd, rng) for _ in range(6)] \
+        rng = _ScriptedRng([_pairs((1, 0), (0, 1), (0, 2), (2, 0), (3, 2),
+                                   (2, 3))])
+        assert _tournament(ranks, neg_crowd, 6, rng).tolist() \
             == [0, 0, 2, 2, 3, 2]
 
     def test_seeded_determinism(self):
         fitness, _ = _indicator_fitness(
             np.random.default_rng(8).random((10, 2)), KAPPA)
         veff = np.zeros(10)
-        first = [_tournament_idx(veff, fitness, np.random.default_rng(99))
-                 for _ in range(1)]
-        winners_a = []
-        winners_b = []
+        first = _tournament(veff, fitness, 10, np.random.default_rng(99))
         rng_a = np.random.default_rng(99)
         rng_b = np.random.default_rng(99)
-        for _ in range(50):
-            winners_a.append(_tournament_idx(veff, fitness, rng_a))
-            winners_b.append(_tournament_idx(veff, fitness, rng_b))
+        winners_a = [_tournament(veff, fitness, 10, rng_a).tolist()
+                     for _ in range(5)]
+        winners_b = [_tournament(veff, fitness, 10, rng_b).tolist()
+                     for _ in range(5)]
         assert winners_a == winners_b
-        assert first[0] == winners_a[0]
+        assert first.tolist() == winners_a[0]
 
     def test_better_of_two_wins_three_quarters(self):
         # drawing both slots uniformly leaves the worse individual only the
@@ -541,37 +601,54 @@ class TestTournament:
         veff = np.zeros(2)
         rng = np.random.default_rng(12345)
         n = 100000
-        wins = sum(
-            _tournament_idx(veff, fitness, rng) == 0 for _ in range(n)
-        )
+        wins = int((_tournament(veff, fitness, n, rng) == 0).sum())
         sigma = np.sqrt(0.75 * 0.25 / n)
         assert abs(wins / n - 0.75) < 3.0 * sigma
 
 
 class TestSetup:
-    def test_first_population_is_the_seeded_draw_evaluated(self):
+    def test_first_population_is_the_seeded_draw_evaluated(self,
+                                                            monkeypatch):
         system = load_system("system2")
-        cfg = _cfg(population_size=6, max_evaluations=6, rng_seed=3)
+        cfg = _cfg(population_size=6, rng_seed=3)
         lower, upper = system.gene_bounds()
         draw = np.random.default_rng(3).random((6, system.n_genes)) \
             * (upper - lower) + lower
         ev = evaluate_batch(draw, system, ConstraintConfig())
+        select = engine._indicator_select
         for mode, cols in (("chpeed", [ev.cost, ev.emission]),
                            ("chped", [ev.cost])):
-            _, (genes, objs, viol) = _setup(system, cfg, ConstraintConfig(),
-                                            mode)
-            assert np.array_equal(genes, ev.genes)
+            seen = []
+
+            def evaluate_spy(genes, *args):
+                seen.append(genes)
+                return evaluate_batch(genes, *args)
+
+            def select_spy(objs, viol, ecfg):
+                seen.append((objs, viol))
+                return select(objs, viol, ecfg)
+
+            monkeypatch.setattr(engine, "evaluate_batch", evaluate_spy)
+            monkeypatch.setattr(engine, "_indicator_select", select_spy)
+            front = run(system, cfg, mode=mode)
+            monkeypatch.undo()
+            genes, (objs, viol) = seen
+            assert np.array_equal(genes, draw)
             assert np.array_equal(objs, np.column_stack(cols))
             assert np.array_equal(viol, ev.violation)
+            assert all(any(np.array_equal(g, h) for h in ev.genes)
+                       for g in front.genes)
 
     def test_configured_mutation_rate_is_passed_through(self, monkeypatch):
         rates = []
-        monkeypatch.setattr(engine, "_spawn_children",
-                            lambda *args: rates.append(args[-1]) or args[0])
-        breed, (genes, _, _) = _setup(load_system("system1"),
-                                      _cfg(mutation_prob=0.25),
-                                      ConstraintConfig(), "chpeed")
-        breed(genes, None)
+
+        def spy(*args):
+            rates.append(args[-1])
+            return _spawn_children(*args)
+
+        monkeypatch.setattr(engine, "_spawn_children", spy)
+        run(load_system("system1"), _cfg(mutation_prob=0.25,
+                                         max_evaluations=8))
         assert rates == [0.25]
 
 
