@@ -12,9 +12,10 @@ also returns the survivors' tournament key, lower winning:
   N / archive_keep_fraction rows, rounded up (250 for the default N=200,
   fraction 0.8), and a crowding stage keeps the most spread-out N of
   those. It drops the worst-ranked constraint-aware fronts first and
-  prunes the boundary front one row at a time, recomputing crowding after
-  every removal, so a cluster of neighbours never leaves all at once.
-  Key: (violation, fitness).
+  prunes the boundary front one row at a time, bringing crowding up to
+  date after every removal, so a cluster of neighbours never leaves all
+  at once. A removal changes only its sort neighbours' crowding, so only
+  theirs is recomputed. Key: (violation, fitness).
 - IBEA: the indicator stage selects N rows directly, with no crowding
   stage (as does IDBEA with archive_keep_fraction=1.0).
 - NSGA2: whole fronts best rank first, the boundary front cut by
@@ -24,7 +25,9 @@ Fitness orientation: each individual accumulates exp(-I/(c*kappa)) over
 the scaled pairwise hypervolume indicator values against it, so dominated
 individuals collect large sums and the worst individual is the argmax.
 Environmental selection removes that argmax repeatedly, updating the sums
-incrementally.
+incrementally. The sums are compensated and carry the same bits as a
+sequential Neumaier summation, row by row; the start-up computes them
+without a Python loop (see _env_select).
 
 Selection operates on raw objectives; constraint pressure enters as a
 feasibility layer (infeasible individuals lose tournaments and are evicted
@@ -154,15 +157,22 @@ def _pairwise_indicator(nobjs: np.ndarray, ref: float = 1.1) -> np.ndarray:
     normalized objectives. Generic in the number of objectives; the terms
     are built one objective column at a time from (n, n) matrices, which
     avoids (n, n, m) temporaries."""
-    n = nobjs.shape[0]
-    ih = np.ones(n)
-    overlap = np.ones((n, n))
-    weak = np.ones((n, n), dtype=bool)
-    for col in nobjs.T:
+    col = nobjs[:, 0]
+    ih = ref - col
+    overlap = np.maximum(col[:, None], col[None, :])
+    np.subtract(ref, overlap, out=overlap)
+    weak = col[:, None] <= col[None, :]
+    tmp = np.empty_like(overlap)
+    for col in nobjs.T[1:]:
         ih = ih * (ref - col)
-        overlap = overlap * (ref - np.maximum(col[:, None], col[None, :]))
+        np.maximum(col[:, None], col[None, :], out=tmp)
+        np.subtract(ref, tmp, out=tmp)
+        overlap *= tmp
         weak &= col[:, None] <= col[None, :]
-    return np.where(weak, ih[None, :] - ih[:, None], ih[None, :] - overlap)
+    np.subtract(ih[None, :], overlap, out=overlap)
+    np.subtract(ih[None, :], ih[:, None], out=tmp)
+    np.copyto(overlap, tmp, where=weak)
+    return overlap
 
 
 def _indicator_fitness(objs: np.ndarray, kappa: float):
@@ -175,21 +185,15 @@ def _indicator_fitness(objs: np.ndarray, kappa: float):
     everything (an isolated extreme) collects a near-zero sum; one covered
     tightly by neighbors or dominators collects a large one.
     """
-    nobjs = _normalize_objs(objs)
-    ind = _pairwise_indicator(nobjs)
-    c = np.abs(ind).max(axis=0)
+    e = _pairwise_indicator(_normalize_objs(objs))
+    c = np.maximum(e.max(axis=0), -e.min(axis=0))
     c[c == 0.0] = 1.0
-    e = np.exp(-ind / (c[None, :] * kappa))
+    # in place: (-I) / s and -(I / s) round alike
+    np.divide(e, c * kappa, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     np.fill_diagonal(e, 0.0)
     return e.sum(axis=0), e
-
-
-def _neumaier_add(fit, comp, b):
-    """One compensated-summation step: returns fit + b, accumulating the
-    rounding error of the addition into comp."""
-    t = fit + b
-    comp += np.where(np.abs(fit) >= np.abs(b), (fit - t) + b, (b - t) + fit)
-    return t
 
 
 def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int,
@@ -209,28 +213,56 @@ def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int,
     the removal of a dominator's huge contribution would otherwise leave
     rounding residue far above the 1e-9 agreement the
     recompute-from-scratch check expects.
+
+    Every float equals that of adding the rows of E one at a time with a
+    Neumaier step, yet the start-up runs no Python loop. The running sums
+    are cumsum(E, axis=0), sequential by definition. Each addition's
+    rounding error is the exact Fast2Sum error (max - sum) + min, taking
+    max and min by value, which is valid because every term is
+    nonnegative. The compensation is the row-by-row sum of those errors.
+    A long-double column sum is not used: it rounds each total once,
+    which differs from the sequential float64 sum in the last bit on some
+    real pools, and fitness is the tournament key, so fronts would
+    change. Each removal subtracts the removed row by TwoSum, which gives
+    the same exact error as the Neumaier branch, into preallocated
+    buffers; dead rows sit at -inf in the argmax key, and the violation
+    key is read only while an infeasible row is alive.
     """
     n = objs.shape[0]
     _, e = _indicator_fitness(objs, kappa)
-    fit = np.zeros(n)
-    comp = np.zeros(n)
-    for j in range(n):
-        fit = _neumaier_add(fit, comp, e[j])
+    run = np.cumsum(e, axis=0)
+    fit = run[-1].copy()
+    err = np.maximum(run[:-1], e[1:])
+    err -= run[1:]
+    err += np.minimum(run[:-1], e[1:], out=run[:-1])
+    comp = err.sum(axis=0)
+    del run, err
     veff = _effective_violation(viol)
+    n_infeasible = int((veff > 0.0).sum())
+    vkey = veff.copy()
     alive = np.ones(n, dtype=bool)
+    key = fit + comp
+    t, bv, av = np.empty(n), np.empty(n), np.empty(n)
     removal_order = []
     for _ in range(n - n_keep):
-        idx = np.flatnonzero(alive)
-        corrected = fit[idx] + comp[idx]
-        v_max = veff[idx].max()
-        if v_max > 0.0:
-            cand = veff[idx] == v_max
-            worst = idx[cand][np.argmax(corrected[cand])]
+        if n_infeasible:
+            worst = int(np.where(vkey == vkey.max(), key, -np.inf).argmax())
+            n_infeasible -= bool(veff[worst] > 0.0)
         else:
-            worst = idx[np.argmax(corrected)]
+            worst = int(key.argmax())
         alive[worst] = False
-        removal_order.append(int(worst))
-        fit = _neumaier_add(fit, comp, -e[worst])
+        key[worst] = vkey[worst] = -np.inf
+        removal_order.append(worst)
+        # TwoSum of fit and -e[worst]: t + error is exact
+        np.subtract(fit, e[worst], out=t)
+        np.subtract(t, fit, out=bv)
+        np.subtract(t, bv, out=av)
+        np.subtract(fit, av, out=av)
+        np.add(bv, e[worst], out=bv)
+        np.subtract(av, bv, out=av)
+        comp += av
+        fit, t = t, fit
+        np.add(fit, comp, out=key, where=alive)
     return np.flatnonzero(alive), fit + comp, removal_order
 
 
@@ -262,21 +294,76 @@ def _crowding_truncate(objs: np.ndarray, viol: np.ndarray,
     Whole constraint-aware fronts go worst rank first; removing rows from
     the worst front never changes the ranks of the others, so the fronts
     are computed once. Inside the boundary front the least-crowded row
-    goes (the first one on ties), crowding is recomputed over the rows
-    left in that front, and the step repeats. Both per-objective extremes
-    of the boundary front carry infinite crowding and so outlast every
-    interior row.
+    goes (the first one on ties), crowding is brought up to date over the
+    rows left in that front, and the step repeats. Both per-objective
+    extremes of the boundary front carry infinite crowding and so outlast
+    every interior row.
     """
     kept: list[np.ndarray] = []
     room = n_keep
     for idx in _fast_nds(objs, viol):
-        while idx.shape[0] > room:
-            idx = np.delete(idx, np.argmin(_crowding(objs[idx])))
+        if idx.shape[0] > room:
+            idx = idx[_crowding_prune(objs[idx], room)]
         kept.append(idx)
         room -= idx.shape[0]
         if room == 0:
             break
     return np.sort(np.concatenate(kept))
+
+
+def _crowding_prune(objs: np.ndarray, n_keep: int) -> np.ndarray:
+    """Mask of the n_keep rows left after removing the least-crowded row
+    (the first one on ties) one at a time, each removal seeing the
+    crowding of the rows left.
+
+    Dropping a row keeps the stable per-objective sort order of the
+    others, so the order is held as per-objective neighbour links. After
+    an interior row goes, the extremes and spans stay and only its sort
+    neighbours' crowding changes: each is recomputed as 0.0 plus its
+    per-objective terms in objective order, the same sum _crowding forms.
+    When the row that goes is an extreme of some objective (possible when
+    every row left has infinite crowding), the spans change, and crowding
+    starts over on the rows left.
+    """
+    n, m = objs.shape
+    alive = np.ones(n, dtype=bool)
+    left = n
+    while left > n_keep:
+        rows = np.flatnonzero(alive)
+        sub = objs[rows]
+        dist = _crowding(sub)
+        order = np.argsort(sub, axis=0, kind="stable").T
+        prev = np.full(order.shape, -1)
+        succ = np.full(order.shape, -1)
+        axis = np.arange(m)[:, None]
+        prev[axis, order[:, 1:]] = order[:, :-1]
+        succ[axis, order[:, :-1]] = order[:, 1:]
+        prev, succ, cols = prev.tolist(), succ.tolist(), sub.T.tolist()
+        ends = set(order[:, [0, -1]].ravel().tolist())
+        span = [c[o[-1]] - c[o[0]] for c, o in zip(cols, order.tolist())]
+        while left > n_keep:
+            p = int(dist.argmin())
+            if dist[p] == np.inf:
+                p = int(np.argmax(alive[rows]))
+            alive[rows[p]] = False
+            left -= 1
+            if p in ends:
+                break
+            dist[p] = np.inf
+            near = set()
+            for j in range(m):
+                a, b = prev[j][p], succ[j][p]
+                succ[j][a] = b
+                prev[j][b] = a
+                near.update((a, b))
+            for q in near - ends:
+                d = 0.0
+                for j in range(m):
+                    if span[j] > 0:
+                        d += (cols[j][succ[j][q]] - cols[j][prev[j][q]]) \
+                            / span[j]
+                dist[q] = d
+    return alive
 
 
 def _fast_nds(objs: np.ndarray, viol: np.ndarray) -> list:

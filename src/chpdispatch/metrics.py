@@ -57,8 +57,17 @@ class NormalizationBounds:
 
 
 def hypervolume_2d(points, ref=HV_REFERENCE) -> float:
-    """Exact area dominated by a 2-D minimization point set within the
-    reference box, by sweep over the cost axis."""
+    """Area dominated by a 2-D minimization point set within the
+    reference box, by sweep over the cost axis.
+
+    The area is exact up to the rounding of the strip sums, so two results
+    should not be compared for exact equality: adding a non-dominated
+    point re-splits the strips and can lower the sum by one ulp (with the
+    default reference, [(5.17e-244, 0.015625)] gives 1.1928125000000003,
+    and adding (0.0, 0.5) gives 1.1928125). On a dyadic grid with a
+    dyadic reference the sweep's arithmetic is exact and the area never
+    falls when a point is added.
+    """
     pts = np.asarray(points, float)
     if pts.size == 0:
         return 0.0

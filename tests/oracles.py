@@ -349,6 +349,47 @@ def environmental_selection_bruteforce(objectives, n_keep, kappa=0.05,
     return alive, removed
 
 
+def env_select_neumaier(e, veff, n_keep):
+    """Sequential reference for the engine's environmental selection, from
+    its contribution matrix e (e[j, i]: the term individual j adds to the
+    fitness of individual i) and effective violations veff.
+
+    The fitness sums start at zero and take one row of e at a time with a
+    Neumaier step, so the compensation holds the sum of the exact rounding
+    errors. Each step removes the alive individual with the largest
+    violation while any is positive (largest corrected fitness breaking
+    ties), else the one with the largest corrected fitness, first on exact
+    ties, and subtracts its row the same way. Returns (alive indices in
+    original order, corrected fitness after all removals, removal
+    order)."""
+    def neumaier_add(fit, comp, b):
+        t = fit + b
+        comp += np.where(np.abs(fit) >= np.abs(b), (fit - t) + b,
+                         (b - t) + fit)
+        return t
+
+    n = e.shape[0]
+    fit = np.zeros(n)
+    comp = np.zeros(n)
+    for j in range(n):
+        fit = neumaier_add(fit, comp, e[j])
+    alive = np.ones(n, dtype=bool)
+    removal_order = []
+    for _ in range(n - n_keep):
+        idx = np.flatnonzero(alive)
+        corrected = fit[idx] + comp[idx]
+        v_max = veff[idx].max()
+        if v_max > 0.0:
+            cand = veff[idx] == v_max
+            worst = idx[cand][np.argmax(corrected[cand])]
+        else:
+            worst = idx[np.argmax(corrected)]
+        alive[worst] = False
+        removal_order.append(int(worst))
+        fit = neumaier_add(fit, comp, -e[worst])
+    return np.flatnonzero(alive), fit + comp, removal_order
+
+
 # ---------------------------------------------------------------------------
 # Crowding distance, literal per-objective loop.
 # ---------------------------------------------------------------------------
@@ -373,6 +414,26 @@ def crowding_bruteforce(objectives):
                 gap = objs[order[pos + 1], k] - objs[order[pos - 1], k]
                 dist[i] += gap / (fmax - fmin)
     return dist
+
+
+def crowding_truncate_recompute(objectives, fronts, n_keep):
+    """Keep n_keep rows: whole fronts (index arrays, best first) while they
+    fit, then cut the boundary front one row at a time, removing the row
+    with the least crowding (the first one on ties) and recomputing
+    crowding over the rows left after every removal. Returns the kept
+    indices, sorted."""
+    objs = np.asarray(objectives, float)
+    kept = []
+    room = n_keep
+    for idx in fronts:
+        idx = list(idx)
+        while len(idx) > room:
+            idx.pop(int(np.argmin(crowding_bruteforce(objs[idx]))))
+        kept.extend(idx)
+        room -= len(idx)
+        if room == 0:
+            break
+    return sorted(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,26 @@ KAPPA = EngineConfig().kappa
 _DYADIC = st.integers(0, 336).map(lambda k: k / 256)
 
 
+@st.composite
+def _pools(draw, n_objs=(1, 2)):
+    """(objectives, violations, n_keep): 1 to 60 rows drawn from a few
+    distinct points, on a 1-decimal grid or in [0, 1], some rows
+    infeasible with tied violations (1e-10 counts as feasible)."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.sampled_from(n_objs))
+    if draw(st.booleans()):
+        value = st.integers(0, 10).map(lambda k: k / 10)
+    else:
+        value = st.floats(0.0, 1.0)
+    points = draw(st.lists(st.tuples(*[value] * m), min_size=1, max_size=n))
+    rows = draw(st.lists(st.integers(0, len(points) - 1), min_size=n,
+                         max_size=n))
+    viol = draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 1e-10, 0.5, 2.0]),
+                         min_size=n, max_size=n))
+    return (np.array([points[r] for r in rows], float), np.array(viol),
+            draw(st.integers(1, n)))
+
+
 def _cfg(**kw):
     kw.setdefault("population_size", 4)
     kw.setdefault("max_evaluations", kw["population_size"])
@@ -335,6 +355,22 @@ class TestEnvironmentalSelection:
                 if dominated:
                     assert worst in dominated, f"{combo} evicted {worst}"
                 alive.discard(worst)
+
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=400)
+    @given(pool=_pools())
+    def test_matches_sequential_neumaier_bit_for_bit(self, pool):
+        # the reference adds the rows of E one at a time with a Neumaier
+        # step and searches the alive rows with flatnonzero every removal
+        objs, viol, n_keep = pool
+        alive, fit, removed = _env_select(objs, viol, n_keep, KAPPA)
+        _, e = _indicator_fitness(objs, KAPPA)
+        want_alive, want_fit, want_removed = oracles.env_select_neumaier(
+            e, _effective_violation(viol), n_keep)
+        assert alive.tolist() == want_alive.tolist()
+        assert removed == want_removed
+        assert fit[alive].tobytes() == want_fit[alive].tobytes()
 
 
 class TestCrowding:
@@ -696,6 +732,22 @@ class TestStepEightPrune:
         assert single.tolist() == [0, 1, 4, 5]
         keep = _crowding_truncate(objs, np.zeros(6), 4)
         assert keep.tolist() == [0, 2, 4, 5]
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=400)
+    @given(pool=_pools())
+    def test_matches_recompute_per_removal(self, pool):
+        objs, viol, n_keep = pool
+        keep = _crowding_truncate(objs, viol, n_keep)
+        want = oracles.crowding_truncate_recompute(
+            objs, _fast_nds(objs, viol), n_keep)
+        assert keep.tolist() == want
+
+    def test_all_infinite_crowding_removes_the_first_row(self):
+        # every row is an extreme of one objective; the first goes, and
+        # the crowding of the two rows left starts over
+        objs = np.array([(0.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
+        assert _crowding_truncate(objs, np.zeros(3), 2).tolist() == [1, 2]
 
     def test_worst_front_goes_before_crowding_is_read(self):
         # rows 1 and 3 are dominated by row 2; they go first even though
