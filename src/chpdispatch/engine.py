@@ -224,9 +224,9 @@ def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int,
     which differs from the sequential float64 sum in the last bit on some
     real pools, and fitness is the tournament key, so fronts would
     change. Each removal subtracts the removed row by TwoSum, which gives
-    the same exact error as the Neumaier branch, into preallocated
-    buffers; dead rows sit at -inf in the argmax key, and the violation
-    key is read only while an infeasible row is alive.
+    the same exact error as the Neumaier branch; dead rows sit at -inf
+    in the argmax key, and the violation key is read only while an
+    infeasible row is alive.
     """
     n = objs.shape[0]
     _, e = _indicator_fitness(objs, kappa)
@@ -242,7 +242,6 @@ def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int,
     vkey = veff.copy()
     alive = np.ones(n, dtype=bool)
     key = fit + comp
-    t, bv, av = np.empty(n), np.empty(n), np.empty(n)
     removal_order = []
     for _ in range(n - n_keep):
         if n_infeasible:
@@ -254,14 +253,10 @@ def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int,
         key[worst] = vkey[worst] = -np.inf
         removal_order.append(worst)
         # TwoSum of fit and -e[worst]: t + error is exact
-        np.subtract(fit, e[worst], out=t)
-        np.subtract(t, fit, out=bv)
-        np.subtract(t, bv, out=av)
-        np.subtract(fit, av, out=av)
-        np.add(bv, e[worst], out=bv)
-        np.subtract(av, bv, out=av)
-        comp += av
-        fit, t = t, fit
+        t = fit - e[worst]
+        bv = t - fit
+        comp += (fit - (t - bv)) - (e[worst] + bv)
+        fit = t
         np.add(fit, comp, out=key, where=alive)
     return np.flatnonzero(alive), fit + comp, removal_order
 
@@ -271,6 +266,9 @@ def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int,
 # ---------------------------------------------------------------------------
 
 def _crowding(objs: np.ndarray) -> np.ndarray:
+    # _crowding_prune repeats this sum row by row (0.0 plus the terms in
+    # objective order, zero-span objectives skipped) to keep its bits:
+    # change both together.
     n = objs.shape[0]
     if n <= 2:
         return np.full(n, np.inf)

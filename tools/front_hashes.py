@@ -1,13 +1,13 @@
 """Print one sha256 per (system, algorithm, seed) over a run's final front.
 
-    python3 tools/front_hashes.py [CHECKOUT] [--systems system1,system2,system3]
-        [--algorithms IDBEA,IBEA,NSGA2] [--seeds 1,2] [--mode chpeed]
+    python3 tools/front_hashes.py [CHECKOUT] [--algorithms IDBEA,IBEA,NSGA2]
+        [--mode chpeed]
 
 Imports ``chpdispatch`` from ``CHECKOUT/src`` (default: the checkout this
-script lives in), runs each combination with the default engine and
-constraint settings (N = 200, 25,000 evaluations) and hashes the front's
-genes, objectives and violations, shapes included. Two checkouts whose
-output lines are equal produced byte-identical fronts.
+script lives in), runs each algorithm on system1-3 with seeds 1 and 2 and
+the default engine and constraint settings (N = 200, 25,000 evaluations)
+and hashes the front's genes, objectives and violations, shapes included.
+Two checkouts whose output lines are equal produced byte-identical fronts.
 """
 from __future__ import annotations
 
@@ -29,9 +29,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", type=Path,
                         default=Path(__file__).resolve().parent.parent)
-    parser.add_argument("--systems", default="system1,system2,system3")
     parser.add_argument("--algorithms", default="IDBEA,IBEA,NSGA2")
-    parser.add_argument("--seeds", default="1,2")
     parser.add_argument("--mode", default="chpeed")
     args = parser.parse_args(argv)
     src = args.checkout.resolve() / "src"
@@ -40,11 +38,11 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     from chpdispatch import EngineConfig, load_system, run
 
-    for name in args.systems.split(","):
+    for name in ("system1", "system2", "system3"):
         system = load_system(name)
         for algorithm in args.algorithms.split(","):
-            for seed in args.seeds.split(","):
-                cfg = EngineConfig(rng_seed=int(seed), algorithm=algorithm)
+            for seed in (1, 2):
+                cfg = EngineConfig(rng_seed=seed, algorithm=algorithm)
                 front = run(system, cfg, mode=args.mode)
                 print(f"{name} {algorithm} seed{seed} {len(front):4d} "
                       f"{front_digest(front)}", flush=True)
