@@ -1,6 +1,6 @@
 """Combined heat and power dispatch optimization toolkit."""
 
-from .constraints import ConstraintConfig, repair_batch
+from .constraints import repair_batch
 from .engine import EngineConfig, FrontArchive, dominates, run
 from .geometry import ForPolygon
 from .metrics import (NormalizationBounds, eaf_surfaces, hv_metric,
@@ -15,12 +15,11 @@ from .cli import (ExperimentConfig, RunRecord, emit_reports, load_experiment,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CogenUnit", "ConstraintConfig", "DispatchVector", "EngineConfig",
-    "Evaluation", "ExperimentConfig", "ForPolygon", "FrontArchive",
-    "HeatOnlyUnit", "LossModel", "NormalizationBounds", "PowerOnlyUnit",
-    "RunRecord", "SystemDefinition", "SystemLoadError", "dominates",
-    "eaf_surfaces", "emit_reports", "evaluate", "hv_metric",
-    "hypervolume_2d", "indicator_ihd", "load_experiment", "load_system",
-    "repair_batch", "run", "run_experiment", "select_compromise",
-    "spread_delta", "wilcoxon_signed_rank",
+    "CogenUnit", "DispatchVector", "EngineConfig", "Evaluation",
+    "ExperimentConfig", "ForPolygon", "FrontArchive", "HeatOnlyUnit",
+    "LossModel", "NormalizationBounds", "PowerOnlyUnit", "RunRecord",
+    "SystemDefinition", "SystemLoadError", "dominates", "eaf_surfaces",
+    "emit_reports", "evaluate", "hv_metric", "hypervolume_2d", "indicator_ihd",
+    "load_experiment", "load_system", "repair_batch", "run", "run_experiment",
+    "select_compromise", "spread_delta", "wilcoxon_signed_rank",
 ]

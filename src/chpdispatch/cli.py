@@ -21,13 +21,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .constraints import ConstraintConfig
-from .engine import EngineConfig, FrontArchive, run as engine_run
+from .engine import EngineConfig, FrontArchive, _normalize_objs, \
+    run as engine_run
 from .metrics import (NormalizationBounds, eaf_surfaces, hv_metric,
                       spread_delta, wilcoxon_signed_rank)
 from .model import SystemDefinition, SystemLoadError, load_system, loss_batch
@@ -37,7 +37,7 @@ DEFAULT_EAF_LEVELS = (25.0, 50.0, 75.0)
 
 _EXPERIMENT_KEYS = {
     "experiment_id", "system", "mode", "repetitions", "seed_base",
-    "output_dir", "constraints", "algorithms",
+    "output_dir", "algorithms",
 }
 
 
@@ -50,7 +50,6 @@ class ExperimentConfig:
     repetitions: int = 1
     seed_base: int = 1
     output_dir: str = "runs"
-    constraints: ConstraintConfig = field(default_factory=ConstraintConfig)
 
     def __post_init__(self):
         if not self.experiment_id or "/" in self.experiment_id \
@@ -93,10 +92,6 @@ def load_experiment(path) -> ExperimentConfig:
     for key in ("experiment_id", "system", "algorithms"):
         if key not in data:
             raise SystemLoadError(f"experiment file is missing '{key}'")
-    try:
-        constraints = ConstraintConfig(**data.get("constraints", {}))
-    except (TypeError, ValueError) as exc:
-        raise SystemLoadError(f"constraints section: {exc}") from exc
     algorithms = []
     for i, entry in enumerate(data["algorithms"]):
         try:
@@ -112,7 +107,6 @@ def load_experiment(path) -> ExperimentConfig:
             repetitions=int(data.get("repetitions", 1)),
             seed_base=int(data.get("seed_base", 1)),
             output_dir=data.get("output_dir", "runs"),
-            constraints=constraints,
         )
     except ValueError as exc:
         raise SystemLoadError(str(exc)) from exc
@@ -123,12 +117,7 @@ def load_experiment(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def _compromise_index(objectives: np.ndarray) -> int:
-    lo = objectives.min(axis=0)
-    span = objectives.max(axis=0) - lo
-    norm = np.zeros_like(objectives)
-    nz = span > 0
-    norm[:, nz] = (objectives[:, nz] - lo[nz]) / span[nz]
-    worst = norm.max(axis=1)
+    worst = _normalize_objs(objectives).max(axis=1)
     candidates = np.flatnonzero(worst == worst.min())
     order = np.lexsort(tuple(objectives[candidates, j]
                              for j in range(objectives.shape[1] - 1, -1, -1)))
@@ -262,8 +251,7 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None,
         for rep in range(cfg.repetitions):
             seed = cfg.seed_base + rep
             t0 = time.perf_counter()
-            front = engine_run(system, replace(ecfg, rng_seed=seed),
-                               cfg.constraints, cfg.mode)
+            front = engine_run(system, replace(ecfg, rng_seed=seed), cfg.mode)
             wall = time.perf_counter() - t0
             path = alg_dir / f"{ecfg.algorithm}_seed{seed}.csv"
             _write_front_csv(path, front, system)
@@ -302,7 +290,6 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None,
         "mode": cfg.mode,
         "repetitions": cfg.repetitions,
         "seed_base": cfg.seed_base,
-        "constraints": asdict(cfg.constraints),
         "algorithms": [asdict(a) for a in cfg.algorithms],
         "runs": manifest_runs,
     }
@@ -377,8 +364,7 @@ def _solution_rows(front: FrontArchive):
     return rows
 
 
-def emit_reports(exp_dir, alpha: float = 0.05,
-                 eaf_levels=DEFAULT_EAF_LEVELS) -> list[Path]:
+def emit_reports(exp_dir, alpha: float = 0.05) -> list[Path]:
     """Write dispatch/report tables for a persisted experiment directory:
     report.csv, summary.csv, and (bi-objective runs) metrics.csv,
     compare.csv, and EAF polylines. Pure function of the persisted files."""
@@ -452,7 +438,7 @@ def emit_reports(exp_dir, alpha: float = 0.05,
             _atomic_write(path, "\n".join(lines) + "\n")
             written.append(path)
 
-        written += _write_eaf(exp_dir, fronts, eaf_levels)
+        written += _write_eaf(exp_dir, fronts, DEFAULT_EAF_LEVELS)
     return written
 
 

@@ -1,32 +1,32 @@
 """Constraint handling: repair toward the feasible set, then measure what
-is left.
+is left. Every evaluation repairs first; repair has no settings.
 
 Repair order matters. Box clamping and region projection first, so the
 slack adjustments below start from capacity-feasible points. The heat
-balance is closed through a designated heat-only slack unit. The power
-balance is closed through a designated power-only slack unit. With network
+balance is closed through the largest heat-only unit, the power balance
+through the largest power-only unit (resolve_slack_units). With network
 loss active the slack output appears on both sides of the balance; under
 the B-matrix loss that balance is a quadratic in the slack output, so the
 slack is set to its stable root in one step, then polished by single
 steps of the fixed point "slack = demand + loss - other outputs" until
-the step falls below `loss_fixed_point_tol`.
+the step falls below LOSS_FIXED_POINT_TOL (1e-12 MW), for at most
+LOSS_FIXED_POINT_MAX_ITERS (50) passes.
 
 Repair is a per-row function: every stop test is taken row by row, and the
 loss is summed in a fixed order, so a row repairs to the same bits
 whichever rows share its batch.
 
-Slack units are restricted to power-only and heat-only units. When a slack
-hits its box bound and cannot close the balance alone, the leftover is
-spread proportionally over the remaining outputs within their own feasible
-room: box room for power-only and heat-only units, and for cogeneration
-units the feasible interval of the moved coordinate at the fixed value of
-the other one. A single-coordinate move inside that interval cannot leave
-the convex operating region, so redistribution never undoes the projection
-step. Whatever residual survives every room is reported as the row's
-constraint violation: balance residuals plus capacity excess. Selection
-compares raw objectives and treats that violation as a separate layer
-(lower violation wins first); no weighted penalty is added to either
-objective.
+When a slack hits its box bound and cannot close the balance alone, the
+leftover is spread proportionally over the remaining outputs within their
+own feasible room: box room for power-only and heat-only units, and for
+cogeneration units the feasible interval of the moved coordinate at the
+fixed value of the other one. A single-coordinate move inside that
+interval cannot leave the convex operating region, so redistribution never
+undoes the projection step. Whatever residual survives every room is
+reported as the row's constraint violation: balance residuals plus
+capacity excess. Selection compares raw objectives and treats that
+violation as a separate layer (lower violation wins first); no weighted
+penalty is added to either objective.
 """
 from __future__ import annotations
 
@@ -38,39 +38,16 @@ import numpy as np
 from .model import SystemDefinition, capacity_violation_batch, cost_batch, \
     emission_batch, loss_batch, loss_in_power_output
 
-_MODES = ("repair_then_penalty", "penalty_only")
+LOSS_FIXED_POINT_TOL = 1e-12
+LOSS_FIXED_POINT_MAX_ITERS = 50
 
 
-@dataclass(frozen=True)
-class ConstraintConfig:
-    mode: str = "repair_then_penalty"
-    power_slack_index: int | None = None
-    heat_slack_index: int | None = None
-    loss_fixed_point_tol: float = 1e-12
-    loss_fixed_point_max_iters: int = 50
-
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.loss_fixed_point_tol <= 0:
-            raise ValueError("loss_fixed_point_tol must be positive")
-        if self.loss_fixed_point_max_iters < 1:
-            raise ValueError("loss_fixed_point_max_iters must be at least 1")
-
-
-def resolve_slack_units(system: SystemDefinition, cfg: ConstraintConfig):
-    """(power slack index, heat slack index); defaults pick the largest unit."""
-    picked = []
-    for kind, k, caps in (
-            ("power", cfg.power_slack_index, [u.p_max for u in system.power_units]),
-            ("heat", cfg.heat_slack_index, [u.h_max for u in system.heat_units])):
-        if k is None and caps:
-            k = int(np.argmax(caps))
-        if k is not None and not 0 <= k < len(caps):
-            raise ValueError(
-                f"{kind}_slack_index {k} out of range for {len(caps)} {kind} unit(s)")
-        picked.append(k)
-    return tuple(picked)
+def resolve_slack_units(system: SystemDefinition):
+    """(power slack index, heat slack index): the largest unit of each
+    kind, or None where the system has no unit of that kind."""
+    return tuple(int(np.argmax(caps)) if caps else None
+                 for caps in ([u.p_max for u in system.power_units],
+                              [u.h_max for u in system.heat_units]))
 
 
 def _proportional_share(room, amount):
@@ -154,7 +131,7 @@ def _close_heat_balance(o, h, t, system, hk):
     _spread_leftover(need - t[:, hk], t, lo, hi, hk, h, o, system, heat=True)
 
 
-def _close_power_balance(p, o, h, system, pk, cfg):
+def _close_power_balance(p, o, h, system, pk):
     """Set the power slack so generation meets demand plus loss, spreading
     what the slack cannot absorb over the other electric outputs.
 
@@ -167,8 +144,8 @@ def _close_power_balance(p, o, h, system, pk, cfg):
     x = demand + loss - others, with the leftover of a slack held at its
     bound spread over the other outputs; it polishes the root's round-off
     and follows the loss as the spread moves it. A row stops once its
-    change falls below cfg.loss_fixed_point_tol; a RuntimeWarning reports
-    rows still above it after cfg.loss_fixed_point_max_iters passes."""
+    change falls below LOSS_FIXED_POINT_TOL; a RuntimeWarning reports rows
+    still above it after LOSS_FIXED_POINT_MAX_ITERS passes."""
     u = system.power_units[pk]
     lo = np.array([pu.p_min for pu in system.power_units])
     hi = np.array([pu.p_max for pu in system.power_units])
@@ -201,9 +178,9 @@ def _close_power_balance(p, o, h, system, pk, cfg):
     if not system.loss_enabled:
         fixed_point(p, o, h)
         return
-    n = cfg.loss_fixed_point_max_iters
+    n = LOSS_FIXED_POINT_MAX_ITERS
     left = _until_settled([root] + [fixed_point] * (n - 1), (p, o, h),
-                          cfg.loss_fixed_point_tol)
+                          LOSS_FIXED_POINT_TOL)
     if left.size:
         warnings.warn(
             f"power balance fixed point stopped after {n} iteration(s) with "
@@ -214,8 +191,7 @@ def _close_power_balance(p, o, h, system, pk, cfg):
         )
 
 
-def repair_batch(genes: np.ndarray, system: SystemDefinition,
-                 cfg: ConstraintConfig) -> np.ndarray:
+def repair_batch(genes: np.ndarray, system: SystemDefinition) -> np.ndarray:
     """Repair an (M, n_genes) array row by row: each row's result is the
     same whichever rows share its batch. Returns a new array."""
     lower, upper = system.gene_bounds()
@@ -230,7 +206,7 @@ def repair_batch(genes: np.ndarray, system: SystemDefinition,
             o[outside, j] = proj[outside, 0]
             h[outside, j] = proj[outside, 1]
 
-    pk, hk = resolve_slack_units(system, cfg)
+    pk, hk = resolve_slack_units(system)
 
     # Power redistribution moves cogen powers, which changes the heat room
     # available along the region chords, so the pair is iterated to a
@@ -242,7 +218,7 @@ def repair_batch(genes: np.ndarray, system: SystemDefinition,
         if hk is not None:
             _close_heat_balance(o, h, t, system, hk)
         if pk is not None:
-            _close_power_balance(p, o, h, system, pk, cfg)
+            _close_power_balance(p, o, h, system, pk)
         return np.abs(g - before).max(axis=1)
 
     _until_settled([heat_then_power] * 4, (g,), 1e-12)
@@ -251,9 +227,9 @@ def repair_batch(genes: np.ndarray, system: SystemDefinition,
 
 @dataclass(frozen=True, eq=False)
 class PopulationEval:
-    """Evaluation of a gene batch after constraint handling.
+    """Evaluation of a gene batch after repair.
 
-    genes are the (possibly repaired) dispatches and cost/emission their
+    genes are the repaired dispatches and cost/emission their
     raw objective values. violation is the absolute power and heat balance
     residuals plus the capacity excess; the engines compare it as a layer
     ahead of the objectives, so nothing is folded into cost or emission.
@@ -264,11 +240,9 @@ class PopulationEval:
     violation: np.ndarray
 
 
-def evaluate_batch(genes: np.ndarray, system: SystemDefinition,
-                   cfg: ConstraintConfig) -> PopulationEval:
-    g = np.atleast_2d(np.asarray(genes, float))
-    if cfg.mode == "repair_then_penalty":
-        g = repair_batch(g, system, cfg)
+def evaluate_batch(genes: np.ndarray,
+                   system: SystemDefinition) -> PopulationEval:
+    g = repair_batch(genes, system)
     p, o, h, t = system.split_genes(g)
 
     cost = cost_batch(p, o, h, t, system)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintConfig, evaluate_batch
+from .constraints import evaluate_batch
 from .model import SystemDefinition
 
 FEASIBILITY_TOL = 1e-9
@@ -510,14 +510,11 @@ def _make_front(genes, raw, viol, system, ecfg, seed, evals) -> FrontArchive:
 
 
 def run(system: SystemDefinition, ecfg: EngineConfig,
-        ccfg: ConstraintConfig | None = None, mode: str = "chpeed",
-        ) -> FrontArchive:
+        mode: str = "chpeed") -> FrontArchive:
     """Run the configured algorithm to its evaluation budget and return
     the first non-dominated front of the final survivors."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    if ccfg is None:
-        ccfg = ConstraintConfig()
     select = _nsga2_select if ecfg.algorithm == "NSGA2" else _indicator_select
     rng = np.random.default_rng(ecfg.rng_seed)
     lower, upper = system.gene_bounds()
@@ -527,7 +524,7 @@ def run(system: SystemDefinition, ecfg: EngineConfig,
         pm_prob = 1.0 / system.n_genes
     n = ecfg.population_size
     ev = evaluate_batch(rng.random((n, system.n_genes)) * (upper - lower)
-                        + lower, system, ccfg)
+                        + lower, system)
     genes, objs, viol = ev.genes, _raw_objs(ev, n_objs), ev.violation
     evals = n
     while True:
@@ -538,7 +535,7 @@ def run(system: SystemDefinition, ecfg: EngineConfig,
                                ecfg.rng_seed, evals)
         ev = evaluate_batch(_spawn_children(genes, primary, secondary, lower,
                                             upper, ecfg, rng, pm_prob),
-                            system, ccfg)
+                            system)
         evals += n
         genes = np.vstack([ev.genes, genes])
         objs = np.vstack([_raw_objs(ev, n_objs), objs])

@@ -7,9 +7,9 @@ import shutil
 import numpy as np
 import pytest
 
-from chpdispatch import (ConstraintConfig, EngineConfig, ExperimentConfig,
-                         NormalizationBounds, SystemLoadError, eaf_surfaces,
-                         emit_reports, hv_metric, load_experiment, load_system,
+from chpdispatch import (EngineConfig, ExperimentConfig, NormalizationBounds,
+                         SystemLoadError, eaf_surfaces, emit_reports,
+                         hv_metric, load_experiment, load_system,
                          run_experiment, select_compromise, spread_delta)
 from chpdispatch import cli
 from chpdispatch.cli import _read_front_csv, main
@@ -110,8 +110,11 @@ class TestLoadExperiment:
             load_experiment(path)
 
     def test_bad_constraints_section(self, tmp_path):
-        path = _write_exp(tmp_path, constraints={"bogus": 1})
-        with pytest.raises(SystemLoadError, match="constraints section:"):
+        # repair has no settings, so a file that still carries the section
+        # is refused rather than silently ignored
+        path = _write_exp(tmp_path, constraints={})
+        with pytest.raises(SystemLoadError,
+                           match=r"unknown field\(s\): \['constraints'\]"):
             load_experiment(path)
 
     def test_penalty_weight_rejected(self, tmp_path):
@@ -119,7 +122,7 @@ class TestLoadExperiment:
         # still sets it is refused rather than silently ignored
         path = _write_exp(tmp_path, constraints={"penalty_weight": 1e4})
         with pytest.raises(SystemLoadError,
-                           match="constraints section:.*penalty_weight"):
+                           match=r"unknown field\(s\): \['constraints'\]"):
             load_experiment(path)
 
     def test_bad_algorithm_entry_names_index(self, tmp_path):
@@ -143,7 +146,6 @@ class TestLoadExperiment:
         assert cfg.repetitions == 1
         assert cfg.seed_base == 1
         assert cfg.output_dir == "runs"
-        assert cfg.constraints == ConstraintConfig()
         assert len(cfg.algorithms) == 1
         assert isinstance(cfg.algorithms[0], EngineConfig)
         assert cfg.algorithms[0].population_size == 8

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chpdispatch import (
-    ConstraintConfig,
     DispatchVector,
     evaluate,
     load_system,
@@ -19,10 +18,10 @@ from chpdispatch.model import (capacity_violation_batch, cost_batch,
 import oracles
 
 
-def _repair_one(vec, system, cfg):
+def _repair_one(vec, system):
     """Repair one dispatch through the batch path."""
     return DispatchVector.from_genes(
-        repair_batch(vec.to_genes()[None, :], system, cfg)[0], system)
+        repair_batch(vec.to_genes()[None, :], system)[0], system)
 
 
 def _random_genes(system, n, seed):
@@ -31,59 +30,51 @@ def _random_genes(system, n, seed):
     return lower + rng.random((n, system.n_genes)) * (upper - lower)
 
 
-class TestConfig:
-    def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            ConstraintConfig(mode="clip")
+def _tiny_system(tmp_path):
+    """Two power-only units, 70 MW in all, against a 100 MW demand."""
+    f = tmp_path / "tiny.json"
+    f.write_text(
+        '{"demand": {"power": 100, "heat": 0},'
+        ' "power_units": [{"p_min": 0, "p_max": 30, "cost_linear": 1},'
+        '                 {"p_min": 0, "p_max": 40, "cost_linear": 1}]}'
+    )
+    return load_system(f)
 
-    def test_bad_fixed_point_settings(self):
-        with pytest.raises(ValueError, match="tol"):
-            ConstraintConfig(loss_fixed_point_tol=0.0)
-        with pytest.raises(ValueError, match="at least 1"):
-            ConstraintConfig(loss_fixed_point_max_iters=0)
+
+# system1 row whose cogen powers, pinned low, force heat floors above the
+# heat demand: repair cannot absorb the excess
+EXCESS_HEAT_ROW = [0.0, 81.0, 40.0, 104.8, 75.0, 0.0]
 
 
 class TestSlackResolution:
     def test_defaults_pick_largest_unit(self):
         s3 = load_system("system3")
-        pk, hk = resolve_slack_units(s3, ConstraintConfig())
+        pk, hk = resolve_slack_units(s3)
         assert pk == 3  # the 250 MW unit
         assert hk == 0
         s1 = load_system("system1")
-        assert resolve_slack_units(s1, ConstraintConfig()) == (0, 0)
-
-    def test_explicit_override(self):
-        s3 = load_system("system3")
-        cfg = ConstraintConfig(power_slack_index=1, heat_slack_index=0)
-        assert resolve_slack_units(s3, cfg) == (1, 0)
-
-    def test_out_of_range_rejected(self):
-        s1 = load_system("system1")
-        with pytest.raises(ValueError, match="power_slack_index"):
-            resolve_slack_units(s1, ConstraintConfig(power_slack_index=5))
-        with pytest.raises(ValueError, match="heat_slack_index"):
-            resolve_slack_units(s1, ConstraintConfig(heat_slack_index=-1))
+        assert resolve_slack_units(s1) == (0, 0)
 
 
 class TestRepair:
     def test_feasible_vector_is_fixed_point(self):
         system = load_system("system1")
         vec = DispatchVector(p=[0.0], o=[160.0, 40.0], h=[40.0, 75.0], t=[0.0])
-        out = _repair_one(vec, system, ConstraintConfig())
+        out = _repair_one(vec, system)
         assert np.allclose(out.to_genes(), vec.to_genes(), atol=1e-9)
 
     def test_box_clamp(self):
         system = load_system("system2")
         g = _random_genes(system, 50, 1)
         g[:, 0] = 500.0  # far above the 135 MW ceiling
-        r = repair_batch(g, system, ConstraintConfig())
+        r = repair_batch(g, system)
         lower, upper = system.gene_bounds()
         assert np.all(r >= lower - 1e-9) and np.all(r <= upper + 1e-9)
 
     def test_region_projection(self):
         system = load_system("system1")
         vec = DispatchVector(p=[0.0], o=[90.0, 40.0], h=[170.0, 75.0], t=[0.0])
-        out = _repair_one(vec, system, ConstraintConfig())
+        out = _repair_one(vec, system)
         region = system.cogen_units[0].region
         assert region.contains_many(np.array([[out.o[0], out.h[0]]]))[0]
         assert evaluate(out, system).capacity_violation == 0.0
@@ -93,7 +84,7 @@ class TestRepair:
         # narrow region tips leave no heat room), so the claim is
         # fractional; closed rows are exact to linear round-off.
         system = load_system("system2")
-        r = repair_batch(_random_genes(system, 200, 2), system, ConstraintConfig())
+        r = repair_batch(_random_genes(system, 200, 2), system)
         evs = [evaluate(DispatchVector.from_genes(row, system), system)
                for row in r]
         res = np.array([(ev.power_residual, ev.heat_residual) for ev in evs])
@@ -102,7 +93,7 @@ class TestRepair:
 
     def test_balance_closure_with_loss(self):
         system = load_system("system3")
-        r = repair_batch(_random_genes(system, 200, 3), system, ConstraintConfig())
+        r = repair_batch(_random_genes(system, 200, 3), system)
         p, o, h, t = system.split_genes(r)
         loss = np.array([oracles.sys3_loss(*row[[0, 1, 2, 3, 4, 5]]) for row in r])
         p_res = p.sum(axis=1) + o.sum(axis=1) - 600.0 - loss
@@ -111,18 +102,16 @@ class TestRepair:
         assert closed.mean() >= 0.97
 
     def test_repair_is_idempotent(self):
-        cfg = ConstraintConfig()
         for name in ("system1", "system2", "system3"):
             system = load_system(name)
-            r1 = repair_batch(_random_genes(system, 300, 4), system, cfg)
-            r2 = repair_batch(r1, system, cfg)
+            r1 = repair_batch(_random_genes(system, 300, 4), system)
+            r2 = repair_batch(r1, system)
             assert np.abs(r2 - r1).max() < 1e-9
 
     def test_repair_never_breaks_regions(self):
-        cfg = ConstraintConfig()
         for name in ("system1", "system2", "system3"):
             system = load_system(name)
-            r = repair_batch(_random_genes(system, 500, 5), system, cfg)
+            r = repair_batch(_random_genes(system, 500, 5), system)
             p, o, h, t = system.split_genes(r)
             cap = capacity_violation_batch(p, o, h, t, system)
             assert cap.max() == 0.0
@@ -131,15 +120,14 @@ class TestRepair:
         system = load_system("system1")
         g = _random_genes(system, 10, 6)
         keep = g.copy()
-        repair_batch(g, system, ConstraintConfig())
+        repair_batch(g, system)
         assert np.array_equal(g, keep)
 
     def test_statistical_closure_with_loss(self):
         # 10^4 uniform random vectors; the slack plus redistribution must
         # close both balances in at least 99% of them.
         system = load_system("system3")
-        r = repair_batch(_random_genes(system, 10_000, 42), system,
-                         ConstraintConfig())
+        r = repair_batch(_random_genes(system, 10_000, 42), system)
         p, o, h, t = system.split_genes(r)
         p_res = p.sum(axis=1) + o.sum(axis=1) - 600.0 - loss_batch(p, o, system)
         h_res = h.sum(axis=1) + t.sum(axis=1) - 150.0
@@ -150,13 +138,13 @@ class TestRepair:
                 assert oracles.polygon_contains_crossing(
                     u.region.vertices, (o[k, j], h[k, j]))
 
-    def test_fixed_point_warning_on_iteration_starvation(self):
+    def test_fixed_point_warning_on_iteration_starvation(self, monkeypatch):
         system = load_system("system3")
-        cfg = ConstraintConfig(loss_fixed_point_max_iters=1,
-                               loss_fixed_point_tol=1e-9)
+        monkeypatch.setattr(constraints, "LOSS_FIXED_POINT_MAX_ITERS", 1)
+        monkeypatch.setattr(constraints, "LOSS_FIXED_POINT_TOL", 1e-9)
         g = _random_genes(system, 50, 8)
-        with pytest.warns(RuntimeWarning, match="fixed point"):
-            repair_batch(g, system, cfg)
+        with pytest.warns(RuntimeWarning, match="^power balance fixed point"):
+            repair_batch(g, system)
 
     def test_tolerance_is_the_per_row_stop_test(self, monkeypatch):
         # a coarser tolerance stops rows earlier, so fewer fixed-point
@@ -170,10 +158,11 @@ class TestRepair:
             return loss_batch(p, o, system)
 
         monkeypatch.setattr(constraints, "loss_batch", counted)
-        repair_batch(g, system, ConstraintConfig())
+        repair_batch(g, system)
         fine = sum(calls)
         calls.clear()
-        repair_batch(g, system, ConstraintConfig(loss_fixed_point_tol=1.0))
+        monkeypatch.setattr(constraints, "LOSS_FIXED_POINT_TOL", 1.0)
+        repair_batch(g, system)
         assert 0 < sum(calls) < fine
 
     def test_no_warning_under_default_budget(self):
@@ -181,7 +170,7 @@ class TestRepair:
         g = _random_genes(system, 200, 9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            repair_batch(g, system, ConstraintConfig())
+            repair_batch(g, system)
 
 
 class TestSaturation:
@@ -191,21 +180,15 @@ class TestSaturation:
         system = load_system("system2")
         vec = DispatchVector(p=[35.0], o=[44.0, 20.0, 86.0],
                              h=[0.0, 0.0, 0.0], t=[0.0])
-        ev = evaluate(_repair_one(vec, system, ConstraintConfig()), system)
+        ev = evaluate(_repair_one(vec, system), system)
         assert abs(ev.heat_residual) < 1e-9
         assert abs(ev.power_residual) < 1e-9
         assert ev.capacity_violation == 0.0
 
     def test_impossible_power_demand_leaves_residual(self, tmp_path):
-        f = tmp_path / "tiny.json"
-        f.write_text(
-            '{"demand": {"power": 100, "heat": 0},'
-            ' "power_units": [{"p_min": 0, "p_max": 30, "cost_linear": 1},'
-            '                 {"p_min": 0, "p_max": 40, "cost_linear": 1}]}'
-        )
-        system = load_system(f)
+        system = _tiny_system(tmp_path)
         vec = DispatchVector(p=[0.0, 0.0], o=[], h=[], t=[])
-        out = _repair_one(vec, system, ConstraintConfig())
+        out = _repair_one(vec, system)
         assert np.allclose(out.p, [30.0, 40.0])
         assert evaluate(out, system).power_residual == pytest.approx(
             -30.0, abs=1e-12)
@@ -214,15 +197,14 @@ class TestSaturation:
         # Both cogen powers pinned low force high heat floors; with the
         # slack already at zero the excess is not absorbable.
         system = load_system("system1")
-        g = np.array([[0.0, 81.0, 40.0, 104.8, 75.0, 0.0]])
-        r = repair_batch(g, system, ConstraintConfig())
+        r = repair_batch(np.array([EXCESS_HEAT_ROW]), system)
         vec = DispatchVector.from_genes(r[0], system)
         assert evaluate(vec, system).heat_residual > 1.0
 
 
-def _evaluate_one(vec, system, cfg):
+def _evaluate_one(vec, system):
     """(cost, emission, violation) of one dispatch through the batch path."""
-    ev = evaluate_batch(vec.to_genes()[None, :], system, cfg)
+    ev = evaluate_batch(vec.to_genes()[None, :], system)
     return float(ev.cost[0]), float(ev.emission[0]), float(ev.violation[0])
 
 
@@ -230,43 +212,48 @@ class TestPenalty:
     def test_feasible_objectives_unchanged(self):
         system = load_system("system1")
         vec = DispatchVector(p=[0.0], o=[160.0, 40.0], h=[40.0, 75.0], t=[0.0])
-        cost, emission, viol = _evaluate_one(vec, system, ConstraintConfig())
+        cost, emission, viol = _evaluate_one(vec, system)
         assert viol == 0.0
         ev = evaluate(vec, system)
         assert cost == ev.cost
         assert emission == ev.emission
 
-    def test_linear_penalty_composition(self):
-        # the 5 MW excess enters the violation linearly; the objectives
-        # stay the raw ones, since selection compares the violation as a
+    def test_linear_penalty_composition(self, tmp_path):
+        # on rows repair cannot close, the residuals and the capacity
+        # excess add up linearly into the violation; the objectives stay
+        # the raw ones, since selection compares the violation as a
         # separate layer instead of adding it to cost or emission
-        system = load_system("system1")
-        cfg = ConstraintConfig(mode="penalty_only")
-        vec = DispatchVector(p=[5.0], o=[160.0, 40.0], h=[40.0, 75.0], t=[0.0])
-        cost, emission, viol = _evaluate_one(vec, system, cfg)
-        assert viol == pytest.approx(5.0, abs=1e-12)
-        ev = evaluate(vec, system)
-        assert cost == ev.cost
-        assert emission == ev.emission
+        for system, row in ((_tiny_system(tmp_path), [0.0, 0.0]),
+                            (load_system("system1"), EXCESS_HEAT_ROW)):
+            ev = evaluate_batch(np.array([row]), system)
+            ref = evaluate(DispatchVector.from_genes(ev.genes[0], system),
+                           system)
+            assert ev.violation[0] > 1.0
+            assert ev.violation[0] == abs(ref.power_residual) \
+                + abs(ref.heat_residual) + ref.capacity_violation
+            assert ev.cost[0] == ref.cost
+            assert ev.emission[0] == ref.emission
 
-    def test_penalty_only_mode_keeps_genes(self):
+    def test_evaluate_batch_returns_repaired_genes(self):
         system = load_system("system2")
         g = _random_genes(system, 30, 11)
-        ev = evaluate_batch(g, system, ConstraintConfig(mode="penalty_only"))
-        assert np.array_equal(ev.genes, g)
+        keep = g.copy()
+        ev = evaluate_batch(g, system)
+        assert np.array_equal(ev.genes, repair_batch(g, system))
+        assert np.array_equal(g, keep)
 
     def test_published_infeasible_row(self):
         # A published best-cost row whose outputs sum to 166.9 MW against a
         # 200 MW demand: flagged infeasible at the source. The cheap cost
         # is bought with a 33.1 MW generation shortfall.
         system = load_system("system1")
-        cfg = ConstraintConfig(mode="penalty_only")
         vec = DispatchVector(p=[0.0], o=[126.9, 40.0], h=[43.0, 75.0], t=[0.0])
         ev = evaluate(vec, system)
         assert ev.power_residual == pytest.approx(-33.1, abs=1e-9)
         assert ev.heat_residual == pytest.approx(3.0, abs=1e-9)
         assert ev.capacity_violation == 0.0
-        _, _, viol = _evaluate_one(vec, system, cfg)
+        viol = abs(ev.power_residual) + abs(ev.heat_residual) \
+            + ev.capacity_violation
         assert viol == pytest.approx(36.1, abs=1e-9)
         # Setpoints are table-rounded to 0.1 MW; with cost slopes around
         # 25 $/MW that bounds the reconstruction error near 1.3 $.
@@ -275,8 +262,7 @@ class TestPenalty:
     def test_penalized_batch_fields(self):
         system = load_system("system3")
         g = _random_genes(system, 20, 12)
-        cfg = ConstraintConfig()
-        ev = evaluate_batch(g, system, cfg)
+        ev = evaluate_batch(g, system)
         p, o, h, t = system.split_genes(ev.genes)
         assert np.array_equal(ev.cost, cost_batch(p, o, h, t, system))
         assert np.array_equal(ev.emission, emission_batch(p, o, h, t, system))
@@ -316,13 +302,12 @@ class TestPerRowRepair:
     @pytest.mark.parametrize("name", ["system1", "system2", "system3"])
     def test_batch_equals_row_by_row(self, name):
         system = load_system(name)
-        cfg = ConstraintConfig()
 
         @PROPERTY
         @given(_rows_around_box(system, 100))
         def check(g):
-            batch = repair_batch(g, system, cfg)
-            alone = np.vstack([repair_batch(row[None, :], system, cfg)
+            batch = repair_batch(g, system)
+            alone = np.vstack([repair_batch(row[None, :], system)
                                for row in g])
             assert np.array_equal(batch, alone)
 
@@ -348,14 +333,14 @@ class TestPerRowRepair:
         # with the other outputs as repaired and the oracle loss; the
         # closed-form root must agree with it.
         system = load_system("system3")
-        pk, _ = resolve_slack_units(system, ConstraintConfig())
+        pk, _ = resolve_slack_units(system)
         unit = system.power_units[pk]
         lower, upper = system.gene_bounds()
 
         @PROPERTY
         @given(_rows_around_box(system, 16))
         def check(g):
-            r = repair_batch(g, system, ConstraintConfig())
+            r = repair_batch(g, system)
             for start, row in zip(np.clip(g, lower, upper), r):
                 if not unit.p_min < row[pk] < unit.p_max:
                     continue
@@ -373,12 +358,11 @@ class TestPerRowRepair:
         # a second repair may move a row by round-off (up to 2e-13 on
         # system3), so this is a tolerance, not bit identity
         system = load_system(name)
-        cfg = ConstraintConfig()
 
         @PROPERTY
         @given(_rows_around_box(system, 100))
         def check(g):
-            once = repair_batch(g, system, cfg)
-            assert np.abs(repair_batch(once, system, cfg) - once).max() < 1e-9
+            once = repair_batch(g, system)
+            assert np.abs(repair_batch(once, system) - once).max() < 1e-9
 
         check()

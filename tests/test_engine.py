@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chpdispatch import (
-    ConstraintConfig,
     EngineConfig,
     FrontArchive,
     dominates,
@@ -650,7 +649,7 @@ class TestSetup:
         lower, upper = system.gene_bounds()
         draw = np.random.default_rng(3).random((6, system.n_genes)) \
             * (upper - lower) + lower
-        ev = evaluate_batch(draw, system, ConstraintConfig())
+        ev = evaluate_batch(draw, system)
         select = engine._indicator_select
         for mode, cols in (("chpeed", [ev.cost, ev.emission]),
                            ("chped", [ev.cost])):

@@ -58,14 +58,13 @@ SWEEPS = [
 
 
 PUBLIC_NAMES = [
-    "CogenUnit", "ConstraintConfig", "DispatchVector", "EngineConfig",
-    "Evaluation", "ExperimentConfig", "ForPolygon", "FrontArchive",
-    "HeatOnlyUnit", "LossModel", "NormalizationBounds", "PowerOnlyUnit",
-    "RunRecord", "SystemDefinition", "SystemLoadError", "dominates",
-    "eaf_surfaces", "emit_reports", "evaluate", "hv_metric",
-    "hypervolume_2d", "indicator_ihd", "load_experiment", "load_system",
-    "repair_batch", "run", "run_experiment", "select_compromise",
-    "spread_delta", "wilcoxon_signed_rank",
+    "CogenUnit", "DispatchVector", "EngineConfig", "Evaluation",
+    "ExperimentConfig", "ForPolygon", "FrontArchive", "HeatOnlyUnit",
+    "LossModel", "NormalizationBounds", "PowerOnlyUnit", "RunRecord",
+    "SystemDefinition", "SystemLoadError", "dominates", "eaf_surfaces",
+    "emit_reports", "evaluate", "hv_metric", "hypervolume_2d", "indicator_ihd",
+    "load_experiment", "load_system", "repair_batch", "run", "run_experiment",
+    "select_compromise", "spread_delta", "wilcoxon_signed_rank",
 ]
 
 

@@ -1,13 +1,14 @@
-"""Print one sha256 per (system, algorithm, seed) over a run's final front.
+"""Print one sha256 per (system, algorithm, seed, mode) over a run's final
+front.
 
     python3 tools/front_hashes.py [CHECKOUT] [--algorithms IDBEA,IBEA,NSGA2]
-        [--mode chpeed]
 
 Imports ``chpdispatch`` from ``CHECKOUT/src`` (default: the checkout this
-script lives in), runs each algorithm on system1-3 with seeds 1 and 2 and
-the default engine and constraint settings (N = 200, 25,000 evaluations)
-and hashes the front's genes, objectives and violations, shapes included.
-Two checkouts whose output lines are equal produced byte-identical fronts.
+script lives in), runs each algorithm on system1-3 with seeds 1 and 2 in
+both modes (``chped`` and ``chpeed``) and the default engine settings
+(N = 200, 25,000 evaluations), and hashes the front's genes, objectives
+and violations, shapes included. Two checkouts whose output lines are
+equal produced byte-identical fronts.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ def main(argv=None) -> int:
     parser.add_argument("checkout", nargs="?", type=Path,
                         default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--algorithms", default="IDBEA,IBEA,NSGA2")
-    parser.add_argument("--mode", default="chpeed")
     args = parser.parse_args(argv)
     src = args.checkout.resolve() / "src"
     if not (src / "chpdispatch").is_dir():
@@ -43,9 +43,10 @@ def main(argv=None) -> int:
         for algorithm in args.algorithms.split(","):
             for seed in (1, 2):
                 cfg = EngineConfig(rng_seed=seed, algorithm=algorithm)
-                front = run(system, cfg, mode=args.mode)
-                print(f"{name} {algorithm} seed{seed} {len(front):4d} "
-                      f"{front_digest(front)}", flush=True)
+                for mode in ("chped", "chpeed"):
+                    front = run(system, cfg, mode=mode)
+                    print(f"{name} {algorithm} seed{seed} {mode:6s} "
+                          f"{len(front):4d} {front_digest(front)}", flush=True)
     return 0
 
 
