@@ -4,8 +4,7 @@ from .constraints import repair_batch
 from .engine import EngineConfig, FrontArchive, dominates, run
 from .geometry import ForPolygon
 from .metrics import (NormalizationBounds, eaf_surfaces, hv_metric,
-                      hypervolume_2d, indicator_ihd, spread_delta,
-                      wilcoxon_signed_rank)
+                      hypervolume_2d, spread_delta, wilcoxon_signed_rank)
 from .model import (CogenUnit, DispatchVector, Evaluation, HeatOnlyUnit,
                     LossModel, PowerOnlyUnit, SystemDefinition,
                     SystemLoadError, evaluate, load_system)
@@ -19,7 +18,7 @@ __all__ = [
     "ExperimentConfig", "ForPolygon", "FrontArchive", "HeatOnlyUnit",
     "LossModel", "NormalizationBounds", "PowerOnlyUnit", "RunRecord",
     "SystemDefinition", "SystemLoadError", "dominates", "eaf_surfaces",
-    "emit_reports", "evaluate", "hv_metric", "hypervolume_2d", "indicator_ihd",
+    "emit_reports", "evaluate", "hv_metric", "hypervolume_2d",
     "load_experiment", "load_system", "repair_batch", "run", "run_experiment",
     "select_compromise", "spread_delta", "wilcoxon_signed_rank",
 ]

@@ -11,7 +11,9 @@ Output layout: <root>/<experiment_id>/<algorithm>/<algorithm>_seed<N>.csv
 plus manifest.json at the experiment level. The CHPDISPATCH_OUTPUT_ROOT
 environment variable overrides the configured output root. Front files
 are written atomically (temp file + rename) with repr-exact floats, so a
-rerun with identical config and seed reproduces them byte for byte.
+rerun with identical config and seed reproduces them byte for byte. Every
+table goes through one CSV writer: `metrics` and `compare` print exactly
+the metrics.csv and compare.csv rows that `report` writes.
 """
 from __future__ import annotations
 
@@ -151,22 +153,39 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _cell(value) -> str:
+    """One CSV cell: floats (numpy's included) repr-exact, None empty,
+    anything else str."""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    return "" if value is None else str(value)
+
+
+def _table(header, rows) -> str:
+    """CSV text of a header and rows. Pass rows of Python floats
+    (``ndarray.tolist()``) where tables are large: that is the fast path."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_table(path: Path, header, rows) -> str:
+    """Write a CSV table atomically; returns its text."""
+    text = _table(header, rows)
+    _atomic_write(path, text)
+    return text
+
+
 def _write_front_csv(path: Path, front: FrontArchive,
                      system: SystemDefinition) -> None:
-    two_obj = front.objectives.shape[1] == 2
-    header = ["cost", "emission", "violation"] if two_obj \
-        else ["cost", "violation"]
+    """Front rows sorted by objectives, then genes (the violation column is
+    no sort key)."""
+    n_obj = front.objectives.shape[1]
+    header = ["cost", "emission"][:n_obj] + ["violation"]
     header += _gene_columns(system.n_power, system.n_cogen, system.n_heat)
-    key_cols = [front.genes[:, j] for j in range(front.genes.shape[1] - 1, -1, -1)]
-    key_cols += [front.objectives[:, j]
-                 for j in range(front.objectives.shape[1] - 1, -1, -1)]
-    order = np.lexsort(tuple(key_cols))
-    lines = [",".join(header)]
-    for i in order:
-        row = list(front.objectives[i]) + [front.violations[i]] \
-            + list(front.genes[i])
-        lines.append(",".join(repr(float(v)) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    data = np.column_stack([front.objectives, front.violations, front.genes])
+    order = np.lexsort(np.delete(data, n_obj, axis=1).T[::-1])
+    _write_table(path, header, data[order].tolist())
 
 
 def _read_front_csv(path: Path, algorithm: str, seed: int,
@@ -256,10 +275,9 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None,
             path = alg_dir / f"{ecfg.algorithm}_seed{seed}.csv"
             _write_front_csv(path, front, system)
 
-            objs = front.objectives
-            best_cost = tuple(objs[int(np.argmin(objs[:, 0]))])
-            best_em = tuple(objs[int(np.argmin(objs[:, 1]))]) \
-                if objs.shape[1] == 2 else None
+            points = {label: tuple(front.objectives[idx])
+                      for label, idx in _solution_rows(front).items()}
+            best_cost = points["best_cost"]
             rec = RunRecord(
                 experiment_id=cfg.experiment_id,
                 algorithm=ecfg.algorithm,
@@ -267,8 +285,8 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None,
                 wall_time=wall,
                 front=front,
                 best_cost_point=best_cost,
-                best_emission_point=best_em,
-                compromise_point=select_compromise(front),
+                best_emission_point=points.get("best_emission"),
+                compromise_point=points.get("compromise", best_cost),
             )
             records.append(rec)
             manifest_runs.append({
@@ -302,36 +320,32 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None,
 # Reports.
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+METRICS_HEADER = ("system", "algorithm", "seed", "hv", "spread")
+COMPARE_HEADER = ("algorithm_a", "algorithm_b", "metric", "n_pairs", "mean_a",
+                  "mean_b", "p_value", "reject")
+
+
+def _two_objective(fronts) -> bool:
+    return all(f.objectives.shape[1] == 2
+               for runs in fronts.values() for f in runs.values())
+
+
+def _require_two_objectives(fronts, what: str) -> None:
+    if not _two_objective(fronts):
+        raise SystemLoadError(
+            f"{what} needs bi-objective fronts; this run is single-objective")
 
 
 def _metric_rows(fronts, system_id: str, bounds: NormalizationBounds):
-    rows = []
-    for alg in sorted(fronts):
-        for seed in sorted(fronts[alg]):
-            front = fronts[alg][seed]
-            if front.objectives.shape[1] != 2:
-                raise SystemLoadError(
-                    "metrics need bi-objective fronts; this run is single-objective")
-            rows.append((system_id, alg, seed,
-                         hv_metric(front, bounds),
-                         spread_delta(front, bounds)))
-    return rows
+    return [(system_id, alg, seed, hv_metric(front, bounds),
+             spread_delta(front, bounds))
+            for alg in sorted(fronts)
+            for seed, front in sorted(fronts[alg].items())]
 
 
 def _union_bounds(fronts) -> NormalizationBounds:
     return NormalizationBounds.from_fronts(
         [f for runs in fronts.values() for f in runs.values()])
-
-
-def _write_metrics_csv(path: Path, rows) -> None:
-    lines = ["system,algorithm,seed,hv,spread"]
-    for system_id, alg, seed, hv, spread in rows:
-        lines.append(f"{system_id},{alg},{seed},{_fmt(hv)},{_fmt(spread)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _compare_rows(fronts, alpha: float):
@@ -355,12 +369,14 @@ def _compare_rows(fronts, alpha: float):
     return out
 
 
-def _solution_rows(front: FrontArchive):
+def _solution_rows(front: FrontArchive) -> dict[str, int]:
+    """{solution label: front row}: best cost, and for bi-objective fronts
+    best emission and the compromise."""
     objs = front.objectives
-    rows = [("best_cost", int(np.argmin(objs[:, 0])))]
+    rows = {"best_cost": int(np.argmin(objs[:, 0]))}
     if objs.shape[1] == 2:
-        rows.append(("best_emission", int(np.argmin(objs[:, 1]))))
-        rows.append(("compromise", _compromise_index(objs)))
+        rows["best_emission"] = int(np.argmin(objs[:, 1]))
+        rows["compromise"] = _compromise_index(objs)
     return rows
 
 
@@ -374,32 +390,21 @@ def emit_reports(exp_dir, alpha: float = 0.05) -> list[Path]:
     fronts = _load_fronts(_discover_runs(exp_dir), system.name)
     walls = {(r["algorithm"], r["seed"]): r["wall_time"]
              for r in manifest.get("runs", [])}
-    written = []
+    two_obj = _two_objective(fronts)
 
-    gene_cols = _gene_columns(system.n_power, system.n_cogen, system.n_heat)
-    report_lines = [",".join(
-        ["algorithm", "seed", "solution", "cost", "emission", "ploss",
-         "violation"] + gene_cols + ["wall_time_s"])]
-    summary_lines = ["algorithm,runs,best_cost,worst_cost,mean_cost,"
-                     "std_cost,best_emission,mean_wall_time_s"]
-    two_obj = True
+    report_rows, summary_rows = [], []
     for alg in sorted(fronts):
         min_costs, min_ems, alg_walls = [], [], []
-        for seed in sorted(fronts[alg]):
-            front = fronts[alg][seed]
-            two_obj = front.objectives.shape[1] == 2
+        for seed, front in sorted(fronts[alg].items()):
             p, o, _, _ = system.split_genes(front.genes)
             ploss = loss_batch(p, o, system)
             wall = walls.get((alg, seed))
-            for label, idx in _solution_rows(front):
-                row = [alg, str(seed), label,
-                       _fmt(front.objectives[idx, 0]),
-                       _fmt(front.objectives[idx, 1]) if two_obj else "",
-                       _fmt(ploss[idx]),
-                       _fmt(front.violations[idx])]
-                row += [_fmt(v) for v in front.genes[idx]]
-                row.append(_fmt(wall))
-                report_lines.append(",".join(row))
+            for label, idx in _solution_rows(front).items():
+                objs = front.objectives[idx].tolist()
+                report_rows.append(
+                    [alg, seed, label, objs[0], objs[1] if two_obj else None,
+                     ploss[idx], front.violations[idx],
+                     *front.genes[idx].tolist(), wall])
             min_costs.append(front.objectives[:, 0].min())
             if two_obj:
                 min_ems.append(front.objectives[:, 1].min())
@@ -407,37 +412,30 @@ def emit_reports(exp_dir, alpha: float = 0.05) -> list[Path]:
                 alg_walls.append(wall)
         costs = np.array(min_costs)
         std = costs.std(ddof=1) if costs.shape[0] > 1 else 0.0
-        summary_lines.append(",".join([
-            alg, str(costs.shape[0]), _fmt(costs.min()), _fmt(costs.max()),
-            _fmt(costs.mean()), _fmt(std),
-            _fmt(min(min_ems)) if min_ems else "",
-            _fmt(np.mean(alg_walls)) if alg_walls else "",
-        ]))
+        summary_rows.append(
+            [alg, costs.shape[0], costs.min(), costs.max(), costs.mean(), std,
+             min(min_ems) if min_ems else None,
+             np.mean(alg_walls) if alg_walls else None])
 
-    path = exp_dir / "report.csv"
-    _atomic_write(path, "\n".join(report_lines) + "\n")
-    written.append(path)
-    path = exp_dir / "summary.csv"
-    _atomic_write(path, "\n".join(summary_lines) + "\n")
-    written.append(path)
-
+    gene_cols = _gene_columns(system.n_power, system.n_cogen, system.n_heat)
+    tables = {
+        "report.csv": (["algorithm", "seed", "solution", "cost", "emission",
+                        "ploss", "violation"] + gene_cols + ["wall_time_s"],
+                       report_rows),
+        "summary.csv": (["algorithm", "runs", "best_cost", "worst_cost",
+                         "mean_cost", "std_cost", "best_emission",
+                         "mean_wall_time_s"], summary_rows),
+    }
     if two_obj:
-        path = exp_dir / "metrics.csv"
-        _write_metrics_csv(path, _metric_rows(fronts, system.name,
-                                              _union_bounds(fronts)))
-        written.append(path)
-
-        rows = _compare_rows(fronts, alpha)
-        if rows:
-            lines = ["algorithm_a,algorithm_b,metric,n_pairs,mean_a,mean_b,"
-                     "p_value,reject"]
-            for a, b, metric, n, ma, mb, p, rej in rows:
-                lines.append(f"{a},{b},{metric},{n},{_fmt(ma)},{_fmt(mb)},"
-                             f"{_fmt(p)},{rej}")
-            path = exp_dir / "compare.csv"
-            _atomic_write(path, "\n".join(lines) + "\n")
-            written.append(path)
-
+        tables["metrics.csv"] = (METRICS_HEADER, _metric_rows(
+            fronts, system.name, _union_bounds(fronts)))
+        compare_rows = _compare_rows(fronts, alpha)
+        if compare_rows:
+            tables["compare.csv"] = (COMPARE_HEADER, compare_rows)
+    written = [exp_dir / name for name in tables]
+    for path, (header, rows) in zip(written, tables.values()):
+        _write_table(path, header, rows)
+    if two_obj:
         written += _write_eaf(exp_dir, fronts, DEFAULT_EAF_LEVELS)
     return written
 
@@ -454,9 +452,7 @@ def _write_eaf(exp_dir: Path, fronts, levels) -> list[Path]:
         for level in sorted(surfaces):
             tag = str(int(level)) if float(level).is_integer() else repr(level)
             path = exp_dir / f"eaf_{alg}_{tag}.csv"
-            lines = ["cost,emission"]
-            lines += [f"{_fmt(x)},{_fmt(y)}" for x, y in surfaces[level]]
-            _atomic_write(path, "\n".join(lines) + "\n")
+            _write_table(path, ("cost", "emission"), surfaces[level].tolist())
             written.append(path)
     return written
 
@@ -490,12 +486,9 @@ def _cmd_metrics(args) -> int:
     manifest = _load_manifest(exp_dir)
     fronts = _load_fronts(_discover_runs(exp_dir), manifest["system_id"])
     bounds = _parse_bounds(args.bounds, fronts)
+    _require_two_objectives(fronts, "metrics")
     rows = _metric_rows(fronts, manifest["system_id"], bounds)
-    _write_metrics_csv(exp_dir / "metrics.csv", rows)
-    print("system,algorithm,seed,hv,spread")
-    for system_id, alg, seed, hv, spread in rows:
-        print(f"{system_id},{alg},{seed},{hv:.6f},"
-              f"{'' if spread is None else f'{spread:.6f}'}")
+    print(_write_table(exp_dir / "metrics.csv", METRICS_HEADER, rows), end="")
     return 0
 
 
@@ -506,10 +499,7 @@ def _cmd_eaf(args) -> int:
         raise SystemLoadError("no attainment levels given")
     manifest = _load_manifest(exp_dir)
     fronts = _load_fronts(_discover_runs(exp_dir), manifest["system_id"])
-    if any(f.objectives.shape[1] != 2 for runs in fronts.values()
-           for f in runs.values()):
-        raise SystemLoadError(
-            "EAF needs bi-objective fronts; this run is single-objective")
+    _require_two_objectives(fronts, "EAF")
     for alg in sorted(fronts):
         if len(fronts[alg]) < 2:
             print(f"skipping {alg}: needs at least 2 runs", file=sys.stderr)
@@ -522,8 +512,6 @@ def _cmd_eaf(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.test != "wilcoxon":
-        raise SystemLoadError(f"unknown test: {args.test}")
     dirs = []
     for d in (Path(args.run_dir_a), Path(args.run_dir_b)):
         runs = _seed_files(d)
@@ -537,9 +525,7 @@ def _cmd_compare(args) -> int:
                          args.alpha)
     if not rows:
         raise SystemLoadError("the two run sets share fewer than 2 seeds")
-    print("algorithm_a,algorithm_b,metric,n_pairs,mean_a,mean_b,p_value,reject")
-    for a, b, metric, n, ma, mb, p, rej in rows:
-        print(f"{a},{b},{metric},{n},{ma:.6f},{mb:.6f},{p:.6g},{rej}")
+    print(_table(COMPARE_HEADER, rows), end="")
     return 0
 
 
@@ -574,7 +560,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("compare", help="paired statistical comparison")
     p.add_argument("run_dir_a", help="first algorithm run directory")
     p.add_argument("run_dir_b", help="second algorithm run directory")
-    p.add_argument("--test", default="wilcoxon")
     p.add_argument("--alpha", type=float, default=0.05)
     p.set_defaults(func=_cmd_compare)
 

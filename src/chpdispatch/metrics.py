@@ -1,6 +1,6 @@
-"""Front quality metrics: exact 2-D hypervolume and the binary hypervolume
-indicator, normalized hypervolume, spread, empirical attainment surfaces,
-and the Wilcoxon signed-rank test for paired runs.
+"""Front quality metrics: exact 2-D hypervolume, normalized hypervolume,
+spread, empirical attainment surfaces, and the Wilcoxon signed-rank test
+for paired runs.
 
 Normalization bounds are supplied externally (usually the componentwise
 min/max over the union of all compared fronts) so that paired comparisons
@@ -53,6 +53,9 @@ class NormalizationBounds:
 
     def normalize(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, float))
+        if pts.shape[1] != self.lower.shape[0]:
+            raise ValueError(f"points have {pts.shape[1]} objective(s) but the "
+                             f"bounds have {self.lower.shape[0]}")
         return (pts - self.lower) / (self.upper - self.lower)
 
 
@@ -86,22 +89,6 @@ def hypervolume_2d(points, ref=HV_REFERENCE) -> float:
             area += (rx - x) * (prev_y - y)
             prev_y = y
     return area
-
-
-def indicator_ihd(a_set, b_set, ref=HV_REFERENCE) -> float:
-    """Binary hypervolume indicator I(A, B): the volume by which B would
-    have to shrink the advantage of A. When A weakly dominates B the value
-    is IH(B) - IH(A) (non-positive); otherwise the volume dominated by B
-    but not by A."""
-    a = np.atleast_2d(np.asarray(a_set, float))
-    b = np.atleast_2d(np.asarray(b_set, float))
-    hv_a = hypervolume_2d(a, ref)
-    covered = all(
-        any(np.all(row_a <= row_b) for row_a in a) for row_b in b
-    )
-    if covered:
-        return hypervolume_2d(b, ref) - hv_a
-    return hypervolume_2d(np.vstack([a, b]), ref) - hv_a
 
 
 def hv_metric(front, bounds: NormalizationBounds) -> float:

@@ -15,7 +15,7 @@ DispatchVector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -452,6 +452,28 @@ def _build_unit(entry: dict, allowed: set, cls, label: str):
         raise SystemLoadError(f"{label}: {exc}") from exc
 
 
+def _check_objectives_finite(system: SystemDefinition) -> None:
+    """Refuse a unit whose cost or emission is not finite at a corner of its
+    operating range: the ends of its box (power-only and heat-only units)
+    or its region vertices (cogeneration units). A run would reach them and
+    return non-finite objectives. Each unit is evaluated on its own."""
+    alone = dict(power_units=(), cogen_units=(), heat_units=(),
+                 power_demand=0.0, heat_demand=0.0, loss=None)
+    for kind in ("power_units", "cogen_units", "heat_units"):
+        for i, unit in enumerate(getattr(system, kind)):
+            one = replace(system, **{**alone, kind: (unit,)})
+            corners = unit.region.vertices if kind == "cogen_units" \
+                else np.array(one.gene_bounds())
+            for objective, fn in (("cost", cost_batch),
+                                  ("emission", emission_batch)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values = fn(*one.split_genes(corners), one)
+                if not np.all(np.isfinite(values)):
+                    raise SystemLoadError(
+                        f"{kind}[{i}]: {objective} is not finite at a corner "
+                        "of its operating range")
+
+
 def load_system(path_or_name) -> SystemDefinition:
     """Load and validate a system definition.
 
@@ -511,7 +533,7 @@ def load_system(path_or_name) -> SystemDefinition:
             raise SystemLoadError(f"loss: {exc}") from exc
 
     try:
-        return SystemDefinition(
+        system = SystemDefinition(
             power_units=power_units,
             cogen_units=cogen_units,
             heat_units=heat_units,
@@ -522,3 +544,5 @@ def load_system(path_or_name) -> SystemDefinition:
         )
     except ValueError as exc:
         raise SystemLoadError(str(exc)) from exc
+    _check_objectives_finite(system)
+    return system

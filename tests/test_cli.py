@@ -548,6 +548,34 @@ class TestMain:
         assert main(["metrics", str(exp_dir), "--bounds", str(partial)]) == 2
         assert "must provide 'lower' and 'upper'" in capsys.readouterr().err
 
+    def test_metrics_bounds_of_the_wrong_length(self, paired_reports,
+                                                tmp_path, capsys):
+        # one lower/upper pair must not broadcast over both objectives
+        exp_dir, _ = paired_reports
+        work = tmp_path / "copy"
+        shutil.copytree(exp_dir, work)
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text(json.dumps({"lower": [13000.0], "upper": [20000.0]}))
+        before = (work / "metrics.csv").read_bytes()
+        assert main(["metrics", str(work), "--bounds", str(bounds)]) == 2
+        captured = capsys.readouterr()
+        assert "points have 2 objective(s) but the bounds have 1" \
+            in captured.err
+        assert captured.out == ""
+        assert (work / "metrics.csv").read_bytes() == before
+
+    def test_metrics_prints_the_csv_it_writes(self, paired_reports, tmp_path,
+                                              capsys):
+        exp_dir, _ = paired_reports
+        work = tmp_path / "copy"
+        shutil.copytree(exp_dir, work)
+        (work / "metrics.csv").unlink()
+        assert main(["metrics", str(work)]) == 0
+        written = (work / "metrics.csv").read_text()
+        assert capsys.readouterr().out == written
+        # with union bounds it is the table report writes
+        assert written == (exp_dir / "metrics.csv").read_text()
+
     def test_metrics_rejects_single_objective_runs(self, chped_experiment,
                                                    tmp_path, capsys):
         exp_dir, _ = chped_experiment
@@ -624,13 +652,13 @@ class TestMain:
         assert main(["compare", path, path]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("a:IDBEA,b:IDBEA,hv,3,")
-        assert lines[1].endswith(",1,False")
+        assert lines[1].endswith(",1.0,False")
 
-    def test_compare_unknown_test(self, paired_reports, capsys):
+    def test_compare_prints_what_report_writes(self, paired_reports, capsys):
         exp_dir, _ = paired_reports
-        assert main(["compare", str(exp_dir / "IDBEA"), str(exp_dir / "IBEA"),
-                     "--test", "ttest"]) == 2
-        assert "unknown test: ttest" in capsys.readouterr().err
+        assert main(["compare", str(exp_dir / "IDBEA"),
+                     str(exp_dir / "IBEA")]) == 0
+        assert capsys.readouterr().out == (exp_dir / "compare.csv").read_text()
 
     def test_compare_needs_shared_seeds(self, paired_reports, tmp_path,
                                         capsys):

@@ -10,7 +10,6 @@ from chpdispatch import (
     FrontArchive,
     dominates,
     hypervolume_2d,
-    indicator_ihd,
     load_system,
     run,
 )
@@ -212,24 +211,29 @@ class TestHypervolume:
             assert exact == pytest.approx(mc, abs=1e-3)
 
 
+def _indicator(a, b):
+    """I({a}, {b}) as the engine computes it for selection."""
+    return engine._pairwise_indicator(np.array([a, b], float))[0, 1]
+
+
 class TestIndicator:
     def test_dominating_singleton_is_negative(self):
-        v = indicator_ihd([(0.3, 0.3)], [(0.6, 0.6)])
-        assert v == pytest.approx(-0.39, abs=1e-12)
+        assert _indicator((0.3, 0.3), (0.6, 0.6)) == \
+            pytest.approx(-0.39, abs=1e-12)
 
     def test_dominated_singleton_is_positive(self):
-        v = indicator_ihd([(0.6, 0.6)], [(0.3, 0.3)])
-        assert v == pytest.approx(0.39, abs=1e-12)
+        assert _indicator((0.6, 0.6), (0.3, 0.3)) == \
+            pytest.approx(0.39, abs=1e-12)
 
     def test_identical_sets_give_zero(self):
-        pts = [(0.2, 0.7), (0.5, 0.4)]
-        assert indicator_ihd(pts, pts) == pytest.approx(0.0, abs=1e-12)
+        for a in ((0.2, 0.7), (0.5, 0.4)):
+            assert _indicator(a, a) == 0.0
 
     def test_matches_bruteforce_on_singletons(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             a, b = rng.random(2), rng.random(2)
-            got = indicator_ihd([a], [b])
+            got = _indicator(a, b)
             want = oracles.indicator_pair_bruteforce(a, b)
             assert got == pytest.approx(want, abs=1e-12)
 

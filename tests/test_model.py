@@ -62,7 +62,7 @@ PUBLIC_NAMES = [
     "ExperimentConfig", "ForPolygon", "FrontArchive", "HeatOnlyUnit",
     "LossModel", "NormalizationBounds", "PowerOnlyUnit", "RunRecord",
     "SystemDefinition", "SystemLoadError", "dominates", "eaf_surfaces",
-    "emit_reports", "evaluate", "hv_metric", "hypervolume_2d", "indicator_ihd",
+    "emit_reports", "evaluate", "hv_metric", "hypervolume_2d",
     "load_experiment", "load_system", "repair_batch", "run", "run_experiment",
     "select_compromise", "spread_delta", "wilcoxon_signed_rank",
 ]
@@ -373,8 +373,17 @@ class TestLoader:
         ("system3", ("loss", "b00"), float("inf"), "loss b00 must be finite"),
         # finite coefficients whose scaled value overflows
         ("system3", ("loss", "scale_b"), 1e308, "loss b must be finite"),
+        # finite coefficients whose objective overflows where a run reaches
+        ("system2", ("power_units", 0, "em_exp_rate"), 10.0,
+         r"power_units\[0\]: emission is not finite at a corner"),
+        ("system2", ("power_units", 0, "cost_cubic"), 1e306,
+         r"power_units\[0\]: cost is not finite at a corner"),
+        ("system2", ("cogen_units", 2, "cost_p_quad"), 1e306,
+         r"cogen_units\[2\]: cost is not finite at a corner"),
     ], ids=["cost-nan", "demand-inf", "heat-bound-inf", "cogen-coeff-inf",
-            "region-nan", "loss-b0-nan", "loss-b00-inf", "loss-b-overflow"])
+            "region-nan", "loss-b0-nan", "loss-b00-inf", "loss-b-overflow",
+            "exp-emission-overflow", "cubic-cost-overflow",
+            "cogen-cost-overflow"])
     def test_non_finite_numbers_rejected(self, tmp_path, name, path, value,
                                          message):
         data = json.loads(resources.files("chpdispatch.data")
