@@ -476,8 +476,9 @@ def _parse_bounds(spec: str, fronts) -> NormalizationBounds:
     if not path.exists():
         raise SystemLoadError(f"bounds file not found: {path}")
     data = json.loads(path.read_text())
-    if "lower" not in data or "upper" not in data:
-        raise SystemLoadError("bounds file must provide 'lower' and 'upper'")
+    if not isinstance(data, dict) or not {"lower", "upper"} <= data.keys():
+        raise SystemLoadError(
+            "bounds file must provide 'lower' and 'upper' in a JSON object")
     return NormalizationBounds(lower=data["lower"], upper=data["upper"])
 
 

@@ -36,11 +36,12 @@ values of the repaired dispatches, so re-evaluating stored genes
 reproduces the stored objectives exactly.
 
 Single-objective mode ("chped") runs the same loop on the cost axis alone;
-dominance degenerates to scalar comparison and the crowding stage is
-skipped.
+dominance degenerates to scalar comparison, indicator selection to a sort
+by (violation, cost), and the crowding stage is skipped.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,23 +121,10 @@ def dominates(a, b, violation_a: float = 0.0, violation_b: float = 0.0) -> bool:
     bv = np.asarray(b, float).ravel()
     if av.shape != bv.shape:
         raise ValueError(f"objective dimensions differ: {av.shape} vs {bv.shape}")
-    viol = np.array([violation_a, violation_b], float)
-    return bool(_domination_matrix(np.vstack([av, bv]), viol)[0, 1])
-
-
-def _domination_matrix(objs: np.ndarray, viol: np.ndarray) -> np.ndarray:
-    """D[i, j] = individual i dominates individual j."""
-    v = _effective_violation(viol)
-    n = objs.shape[0]
-    le = np.ones((n, n), dtype=bool)
-    lt = np.zeros((n, n), dtype=bool)
-    for col in objs.T:
-        le &= col[:, None] <= col[None, :]
-        lt |= col[:, None] < col[None, :]
-    pareto = le & lt
-    v_lt = v[:, None] < v[None, :]
-    v_eq = v[:, None] == v[None, :]
-    return v_lt | (v_eq & pareto)
+    va, vb = _effective_violation([violation_a, violation_b])
+    if va != vb:
+        return bool(va < vb)
+    return bool((av <= bv).all() and (av < bv).any())
 
 
 # ---------------------------------------------------------------------------
@@ -265,22 +253,28 @@ def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int,
 # Crowding distance and non-dominated sorting.
 # ---------------------------------------------------------------------------
 
-def _crowding(objs: np.ndarray) -> np.ndarray:
-    # _crowding_prune repeats this sum row by row (0.0 plus the terms in
-    # objective order, zero-span objectives skipped) to keep its bits:
-    # change both together.
+def _crowding(objs: np.ndarray, ranks: np.ndarray | None = None) -> np.ndarray:
+    """Crowding distance of each row within its front, the rows of equal
+    rank (one front when ranks is None), from one stable sort by (rank,
+    value) per objective. _crowding_prune repeats this sum row by row
+    (0.0 plus the terms in objective order, zero-span objectives
+    skipped) to keep its bits: change both together."""
     n = objs.shape[0]
-    if n <= 2:
-        return np.full(n, np.inf)
+    ranks = np.zeros(n, dtype=np.int64) if ranks is None else ranks
     dist = np.zeros(n)
-    for j in range(objs.shape[1]):
-        order = np.argsort(objs[:, j], kind="stable")
-        vals = objs[order, j]
-        span = vals[-1] - vals[0]
-        if span > 0:
-            dist[order[1:-1]] += (vals[2:] - vals[:-2]) / span
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
+    for col in objs.T:
+        order = np.lexsort((col, ranks))
+        vals, r = col[order], ranks[order]
+        starts = np.r_[True, r[1:] != r[:-1]]
+        first = np.flatnonzero(starts)
+        last = np.r_[first[1:] - 1, n - 1]
+        span = np.repeat(vals[last] - vals[first], last - first + 1)
+        inner = np.flatnonzero(~starts[1:-1] & ~starts[2:]
+                               & (span[1:-1] > 0)) + 1
+        dist[order[inner]] += (vals[inner + 1] - vals[inner - 1]) \
+            / span[inner]
+        dist[order[first]] = np.inf
+        dist[order[last]] = np.inf
     return dist
 
 
@@ -365,19 +359,39 @@ def _crowding_prune(objs: np.ndarray, n_keep: int) -> np.ndarray:
 
 
 def _fast_nds(objs: np.ndarray, viol: np.ndarray) -> list:
-    """Ranked fronts as index arrays, constraint-aware."""
-    d = _domination_matrix(objs, viol)
+    """Ranked fronts as ascending index arrays, constraint-aware, for one
+    or two objectives, by sorting (Kung, Luccio & Preparata 1975; Jensen
+    2003) instead of a pairwise domination matrix.
+
+    A lower effective violation dominates outright, so the rows go in
+    groups of equal violation, lowest first, and a group's fronts follow
+    every front of the groups before it. Within a group the rows go in
+    (cost, emission) order, emission being 0 for one objective. Each row
+    joins the first front whose least emission is above its own, or the
+    front whose least emission it equals when the row that set it has
+    the same cost too (an exact duplicate). The least emissions never
+    decrease with the front index, so a bisection finds that front.
+    """
     n = objs.shape[0]
-    n_dom = d.sum(axis=0).astype(np.int64)
-    unranked = np.ones(n, dtype=bool)
-    fronts = []
-    while unranked.any():
-        cur = np.flatnonzero(unranked & (n_dom == 0))
-        fronts.append(cur)
-        unranked[cur] = False
-        n_dom -= d[cur].sum(axis=0)
-        n_dom[~unranked] = np.iinfo(np.int64).max // 2
-    return fronts
+    veff = _effective_violation(viol)
+    cost = objs[:, 0]
+    emit = objs[:, 1] if objs.shape[1] > 1 else np.zeros(n)
+    order = np.lexsort((emit, cost, veff))
+    ranks = []
+    base, group, least, setter = 0, None, [], []
+    for v, c, e in zip(veff[order].tolist(), cost[order].tolist(),
+                       emit[order].tolist()):
+        if v != group:
+            base, group, least, setter = base + len(least), v, [], []
+        f = bisect_right(least, e)
+        if f and least[f - 1] == e and setter[f - 1] == c:
+            f -= 1
+        least[f:f + 1], setter[f:f + 1] = [e], [c]   # appends past the end
+        ranks.append(base + f)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = ranks
+    return np.split(np.argsort(rank, kind="stable"),
+                    np.cumsum(np.bincount(rank))[:-1])
 
 
 def _ranks_and_crowding(objs: np.ndarray, viol: np.ndarray):
@@ -385,11 +399,9 @@ def _ranks_and_crowding(objs: np.ndarray, viol: np.ndarray):
     crowding distance within its front."""
     fronts = _fast_nds(objs, viol)
     ranks = np.empty(objs.shape[0], dtype=np.int64)
-    crowd = np.zeros(objs.shape[0])
-    for r, idx in enumerate(fronts):
-        ranks[idx] = r
-        crowd[idx] = _crowding(objs[idx])
-    return fronts, ranks, crowd
+    ranks[np.concatenate(fronts)] = np.repeat(
+        np.arange(len(fronts)), [idx.shape[0] for idx in fronts])
+    return fronts, ranks, _crowding(objs, ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +412,20 @@ def _ranks_and_crowding(objs: np.ndarray, viol: np.ndarray):
 
 def _indicator_select(objs: np.ndarray, viol: np.ndarray, ecfg: EngineConfig):
     """IDBEA/IBEA: indicator-based selection down to the pool size, then
-    (IDBEA, two objectives) the crowding stage down to N. Key:
-    (effective violation, fitness)."""
+    (IDBEA) the crowding stage down to N. Key: (effective violation,
+    fitness).
+
+    With one objective, fitness rises strictly with cost in exact
+    arithmetic, so this is a sort: the best N by (effective violation,
+    cost) stay, the higher index on exact ties, and cost is the key.
+    """
     n = ecfg.population_size
-    crowd = ecfg.algorithm == "IDBEA" and objs.shape[1] == 2
+    if objs.shape[1] == 1:
+        veff = _effective_violation(viol)
+        best = np.lexsort((-np.arange(objs.shape[0]), objs[:, 0], veff))
+        alive = np.sort(best[:n])
+        return alive, veff[alive], objs[alive, 0]
+    crowd = ecfg.algorithm == "IDBEA"
     n_pool = int(np.ceil(n / ecfg.archive_keep_fraction)) if crowd else n
     if objs.shape[0] > n_pool:
         alive, fit, _ = _env_select(objs, viol, n_pool, ecfg.kappa)

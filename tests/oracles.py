@@ -243,6 +243,35 @@ def nondominated_fronts_bruteforce(objectives):
     return fronts
 
 
+def fronts_domination_matrix(objectives, violations, tol=1e-9):
+    """The engine's former constraint-aware non-dominated sort: build the
+    (n, n) matrix D[i, j] = row i dominates row j (a lower violation
+    outright, violations at most tol counting as 0; at equal violation,
+    componentwise <= with one strict <), then peel one front at a time,
+    each the unranked rows no unranked row dominates. Returns the fronts
+    as ascending index arrays, best first."""
+    objs = np.asarray(objectives, float)
+    viol = np.asarray(violations, float)
+    v = np.where(viol <= tol, 0.0, viol)
+    n = objs.shape[0]
+    le = np.ones((n, n), dtype=bool)
+    lt = np.zeros((n, n), dtype=bool)
+    for col in objs.T:
+        le &= col[:, None] <= col[None, :]
+        lt |= col[:, None] < col[None, :]
+    d = (v[:, None] < v[None, :]) | ((v[:, None] == v[None, :]) & le & lt)
+    n_dom = d.sum(axis=0).astype(np.int64)
+    unranked = np.ones(n, dtype=bool)
+    fronts = []
+    while unranked.any():
+        cur = np.flatnonzero(unranked & (n_dom == 0))
+        fronts.append(cur)
+        unranked[cur] = False
+        n_dom -= d[cur].sum(axis=0)
+        n_dom[~unranked] = np.iinfo(np.int64).max // 2
+    return fronts
+
+
 # ---------------------------------------------------------------------------
 # Indicator fitness, literal per-pair evaluation (no vectorization).
 # ---------------------------------------------------------------------------

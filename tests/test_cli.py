@@ -548,6 +548,17 @@ class TestMain:
         assert main(["metrics", str(exp_dir), "--bounds", str(partial)]) == 2
         assert "must provide 'lower' and 'upper'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["5", "[1, 2]"])
+    def test_metrics_bounds_file_that_is_not_an_object(self, paired_reports,
+                                                       tmp_path, capsys,
+                                                       text):
+        exp_dir, _ = paired_reports
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text(text)
+        assert main(["metrics", str(exp_dir), "--bounds", str(bounds)]) == 2
+        assert "must provide 'lower' and 'upper' in a JSON object" \
+            in capsys.readouterr().err
+
     def test_metrics_bounds_of_the_wrong_length(self, paired_reports,
                                                 tmp_path, capsys):
         # one lower/upper pair must not broadcast over both objectives

@@ -16,12 +16,14 @@ from chpdispatch import (
 from chpdispatch import engine
 from chpdispatch.constraints import evaluate_batch
 from chpdispatch.engine import (
+    FEASIBILITY_TOL,
     _crowding,
     _crowding_truncate,
     _effective_violation,
     _env_select,
     _fast_nds,
     _indicator_fitness,
+    _indicator_select,
     _make_front,
     _ranks_and_crowding,
     _spawn_children,
@@ -52,6 +54,37 @@ def _pools(draw, n_objs=(1, 2)):
                          min_size=n, max_size=n))
     return (np.array([points[r] for r in rows], float), np.array(viol),
             draw(st.integers(1, n)))
+
+
+_GRID_VIOLATIONS = st.sampled_from(
+    [0.0, 0.0, 1e-12, FEASIBILITY_TOL, 0.25, 0.25, 3.0])
+
+
+@st.composite
+def _grid_pools(draw):
+    """(objectives, violations): 1 to 60 rows with 1 or 2 objectives on a
+    small integer grid, so equal costs and exact duplicates are dense;
+    violations mix 0, values at most FEASIBILITY_TOL and repeated positive
+    values."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.sampled_from([1, 2]))
+    value = st.integers(0, draw(st.integers(0, 6))).map(float)
+    objs = draw(st.lists(st.tuples(*[value] * m), min_size=n, max_size=n))
+    viol = draw(st.lists(_GRID_VIOLATIONS, min_size=n, max_size=n))
+    return np.array(objs, float).reshape(n, m), np.array(viol)
+
+
+@st.composite
+def _cost_pools(draw):
+    """(costs as one column, violations, n_keep): 4 to 60 rows on an
+    integer grid of up to 41 values, full of exact duplicates, violations
+    as in _grid_pools, and an even n_keep of at least 4."""
+    n = draw(st.integers(4, 60))
+    value = st.integers(0, draw(st.integers(0, 40))).map(float)
+    costs = draw(st.lists(value, min_size=n, max_size=n))
+    viol = draw(st.lists(_GRID_VIOLATIONS, min_size=n, max_size=n))
+    return (np.array(costs)[:, None], np.array(viol),
+            2 * draw(st.integers(2, n // 2)))
 
 
 def _cfg(**kw):
@@ -449,6 +482,82 @@ class TestNondominatedSort:
             want = [sorted(f)
                     for f in oracles.nondominated_fronts_bruteforce(objs)]
             assert got == want
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=400)
+    @given(pool=_grid_pools())
+    def test_sorted_ranks_match_domination_matrix(self, pool):
+        objs, viol = pool
+        got = _fast_nds(objs, viol)
+        want = oracles.fronts_domination_matrix(objs, viol, FEASIBILITY_TOL)
+        assert [f.tolist() for f in got] == [f.tolist() for f in want]
+        _, ranks, crowd = _ranks_and_crowding(objs, viol)
+        per_front = np.empty(objs.shape[0])
+        for r, idx in enumerate(want):
+            assert (ranks[idx] == r).all()
+            per_front[idx] = oracles.crowding_bruteforce(objs[idx])
+        assert np.array_equal(crowd, per_front)
+
+
+class TestCostSort:
+    """chped indicator selection keeps the best N rows by (effective
+    violation, cost). In exact arithmetic the one-objective fitness of a
+    row rises strictly with its cost, whichever rows are alive, so the
+    removals of _env_select pick the same rows. On a grid the costs lie
+    far more apart than the rounding of the fitness sums; costs closer
+    than that rounding are the one case where _env_select's float sums
+    decide otherwise (test_cost_decides_where_fitness_sums_round_equal).
+    """
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=400)
+    @given(pool=_cost_pools())
+    def test_matches_env_select(self, pool):
+        objs, viol, n_keep = pool
+        alive, primary, secondary = _indicator_select(
+            objs, viol, _cfg(population_size=n_keep))
+        if objs.shape[0] > n_keep:
+            want, fit, _ = _env_select(objs, viol, n_keep, KAPPA)
+        else:
+            want = np.arange(objs.shape[0])
+            fit, _ = _indicator_fitness(objs, KAPPA)
+        assert alive.tolist() == want.tolist()
+        veff = _effective_violation(viol[alive])
+        assert np.array_equal(primary, veff)
+        assert np.array_equal(secondary, objs[alive, 0])
+        # the tournament key (veff, fitness) orders every pair as
+        # (veff, cost) does; rows of equal cost are objective duplicates,
+        # whose fitness sums take the same terms in another order
+        fit, cost = fit[alive], secondary
+        i, j = np.nonzero(veff[:, None] == veff[None, :])
+        apart = cost[i] != cost[j]
+        assert np.array_equal(fit[i][apart] < fit[j][apart],
+                              cost[i][apart] < cost[j][apart])
+        assert np.allclose(fit[i][~apart], fit[j][~apart], rtol=1e-12,
+                           atol=0.0)
+
+    def test_ties_keep_the_higher_index(self):
+        objs = np.array([[3.0], [1.0], [3.0], [2.0], [3.0], [0.5]])
+        viol = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        alive, primary, secondary = _indicator_select(
+            objs, viol, _cfg(population_size=4))
+        assert alive.tolist() == [1, 2, 3, 4]
+        assert primary.tolist() == [0.0] * 4
+        assert secondary.tolist() == [1.0, 3.0, 2.0, 3.0]
+
+    def test_cost_decides_where_fitness_sums_round_equal(self):
+        # rows 0 and 4 are 1e-9 apart at the top of the span; their
+        # fitness sums (about 1.46e9) differ in exact arithmetic by less
+        # than one unit in the last place, so _env_select sees a tie and
+        # removes the first, row 0, where the sort removes the costlier
+        objs = np.array([[0.999999999], [-1e-9], [0.0], [-1e-9], [1.0]])
+        fit, _ = _indicator_fitness(objs, KAPPA)
+        assert fit[0] == fit[4]
+        assert _env_select(objs, np.zeros(5), 4, KAPPA)[0].tolist() \
+            == [1, 2, 3, 4]
+        alive, _, _ = _indicator_select(objs, np.zeros(5),
+                                        _cfg(population_size=4))
+        assert alive.tolist() == [0, 1, 2, 3]
 
 
 class TestVariation:
