@@ -486,8 +486,8 @@ def _cmd_metrics(args) -> int:
     exp_dir = Path(args.run_dir)
     manifest = _load_manifest(exp_dir)
     fronts = _load_fronts(_discover_runs(exp_dir), manifest["system_id"])
-    bounds = _parse_bounds(args.bounds, fronts)
     _require_two_objectives(fronts, "metrics")
+    bounds = _parse_bounds(args.bounds, fronts)
     rows = _metric_rows(fronts, manifest["system_id"], bounds)
     print(_write_table(exp_dir / "metrics.csv", METRICS_HEADER, rows), end="")
     return 0

@@ -2,11 +2,12 @@
 is left. Every evaluation repairs first; repair has no settings.
 
 Repair order matters. Box clamping and region projection first, so the
-slack adjustments below start from capacity-feasible points. The heat
-balance is closed through the largest heat-only unit, the power balance
-through the largest power-only unit (resolve_slack_units). With network
-loss active the slack output appears on both sides of the balance; under
-the B-matrix loss that balance is a quadratic in the slack output, so the
+slack adjustments below start from capacity-feasible points; only the
+points outside a region are projected. The heat balance is closed
+through the largest heat-only unit, the power balance through the
+largest power-only unit (resolve_slack_units). With network loss active
+the slack output appears on both sides of the balance; under the
+B-matrix loss that balance is a quadratic in the slack output, so the
 slack is set to its stable root in one step, then polished by single
 steps of the fixed point "slack = demand + loss - other outputs" until
 the step falls below LOSS_FIXED_POINT_TOL (1e-12 MW), for at most
@@ -17,17 +18,20 @@ loss is summed in a fixed order, so a row repairs to the same bits
 whichever rows share its batch.
 
 When a slack hits its box bound and cannot close the balance alone, the
-leftover is spread proportionally over the remaining outputs within their
-own feasible room: box room for power-only and heat-only units, and for
-cogeneration units the feasible interval of the moved coordinate at the
-fixed value of the other one. A single-coordinate move inside that
-interval cannot leave the convex operating region, so redistribution never
-undoes the projection step. Whatever residual survives every room is
-reported as the row's constraint violation: balance residuals plus
-capacity excess. Selection compares raw objectives and treats that
-violation as a separate layer (lower violation wins first); no weighted
-penalty is added to either objective.
-"""
+leftover is spread proportionally over the remaining outputs within
+their own feasible room: box room for power-only and heat-only units,
+and for cogeneration units the feasible interval of the moved coordinate
+at the fixed value of the other one, found for all cogeneration units in
+one query of the system's region table (SystemDefinition.region_table).
+A single-coordinate move inside that interval cannot leave the convex
+operating region, so redistribution never undoes the projection step,
+and a repaired row's cogeneration points are inside their regions: the
+capacity term of the violation then finds nothing to project. Whatever
+residual survives every room is reported as the row's constraint
+violation: balance residuals plus capacity excess. Selection compares
+raw objectives and treats that violation as a separate layer (lower
+violation wins first); no weighted penalty is added to either objective.
+A cost or emission that is not finite is refused with a ValueError."""
 from __future__ import annotations
 
 import warnings
@@ -63,14 +67,15 @@ def _proportional_share(room, amount):
 def _chord_room(system, moved, fixed, rows, upward, heat):
     """Room of each cogen unit's moved coordinate (heat when `heat`, else
     power) along the chord of its region at the current value of the
-    fixed coordinate, clamped into the region's range of that coordinate
-    (so every chord is hit)."""
-    room = np.zeros((rows.size, system.n_cogen))
-    for j, u in enumerate(system.cogen_units):
-        lo, hi = u.region.power_range if heat else u.region.heat_range
-        b_lo, b_hi, _ = u.region.chord_bounds(
-            np.clip(fixed[rows, j], lo, hi), axis=0 if heat else 1)
-        room[:, j] = b_hi - moved[rows, j] if upward else moved[rows, j] - b_lo
+    fixed coordinate, clamped into the gene bounds of that coordinate, the
+    region's range (so every chord is hit). One chord query covers all
+    units."""
+    lower, upper = system.gene_bounds()
+    first = system.n_power + (0 if heat else system.n_cogen)
+    cols = slice(first, first + system.n_cogen)
+    b_lo, b_hi, _ = system.region_table.chord_bounds(
+        np.clip(fixed[rows], lower[cols], upper[cols]), axis=0 if heat else 1)
+    room = b_hi - moved[rows] if upward else moved[rows] - b_lo
     return np.clip(room, 0.0, None)
 
 
@@ -247,6 +252,12 @@ def evaluate_batch(genes: np.ndarray,
 
     cost = cost_batch(p, o, h, t, system)
     emission = emission_batch(p, o, h, t, system)
+    for name, values in (("cost", cost), ("emission", emission)):
+        bad = len(values) - np.count_nonzero(np.isfinite(values))
+        if bad:
+            raise ValueError(f"{name} is not finite in {bad} of {len(values)} "
+                             "row(s): the system's objective coefficients "
+                             "overflow inside its operating range")
     p_res = p.sum(axis=1) + o.sum(axis=1) - system.power_demand \
         - loss_batch(p, o, system)
     h_res = h.sum(axis=1) + t.sum(axis=1) - system.heat_demand

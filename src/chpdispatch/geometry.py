@@ -5,9 +5,15 @@ independently: the admissible (power, heat) pairs form a convex polygon.
 This module stores such a polygon and answers the queries the dispatch and
 repair code need, each over an array at once: membership of points,
 chords (the feasible interval of one coordinate at each of a column of
-values of the other), and Euclidean projection of points onto the region.
+values of the other), and Euclidean projection of points onto the region;
+only the points outside are projected. RegionTable holds the edges of
+several regions in one padded table, so one chord query answers a block of
+values for all of them; a polygon's own chord_bounds is its one-region
+case.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +54,6 @@ class ForPolygon:
 
         self._v = v
         self._v.setflags(write=False)
-        self._ends = ends
         self._edges = edges
         self._lengths = lengths
         self._edge_dot = np.sum(edges * edges, axis=1)
@@ -77,28 +82,17 @@ class ForPolygon:
 
     # -- chords -------------------------------------------------------------
 
+    @cached_property
+    def _table(self) -> "RegionTable":
+        return RegionTable([self._v])
+
     def chord_bounds(self, values, axis: int):
         """Chord of the polygon along lines where coordinate `axis` (0 power,
         1 heat) is fixed at each of `values`: (lo, hi, hit) arrays over the
-        other coordinate. An edge whose `axis` span, widened by
-        BOUNDARY_TOL, holds a value meets its line at the clamped
-        interpolation point; an edge flat along `axis` contributes both of
-        its ends. Where no edge meets the line, hit is False, lo is +inf and
-        hi is -inf."""
-        x = np.asarray(values, float)[None, :]
-        other = 1 - axis
-        a, b, d = self._v, self._ends, self._edges
-        lo_e = np.minimum(a[:, axis], b[:, axis])[:, None]
-        hi_e = np.maximum(a[:, axis], b[:, axis])[:, None]
-        meets = (x >= lo_e - BOUNDARY_TOL) & (x <= hi_e + BOUNDARY_TOL)
-        flat = hi_e - lo_e < 1e-12
-        t = np.clip((x - a[:, axis, None]) / np.where(flat, 1.0, d[:, axis, None]),
-                    0.0, 1.0)
-        cut = a[:, other, None] + t * d[:, other, None]
-        lo = np.where(flat, np.minimum(a[:, other], b[:, other])[:, None], cut)
-        hi = np.where(flat, np.maximum(a[:, other], b[:, other])[:, None], cut)
-        return (np.where(meets, lo, np.inf).min(axis=0),
-                np.where(meets, hi, -np.inf).max(axis=0), meets.any(axis=0))
+        other coordinate. The one-region case of RegionTable.chord_bounds."""
+        lo, hi, hit = self._table.chord_bounds(
+            np.asarray(values, float)[:, None], axis)
+        return lo[:, 0], hi[:, 0], hit[:, 0]
 
     # -- projection ---------------------------------------------------------
 
@@ -106,22 +100,77 @@ class ForPolygon:
         """Euclidean projection of an (M, 2) array onto the polygon.
 
         Returns (projected points, distances); interior points project to
-        themselves with distance 0.
+        themselves with distance 0, and only the points outside are
+        projected, each on its own.
         """
         q = np.atleast_2d(np.asarray(points, float))
-        inside = self.contains_many(q)
-        # Candidate feet of perpendiculars on every edge segment.
-        rel = q[:, None, :] - self._v[None, :, :]
-        t = np.einsum("mej,ej->me", rel, self._edges) / self._edge_dot[None, :]
-        t = np.clip(t, 0.0, 1.0)
-        feet = self._v[None, :, :] + t[:, :, None] * self._edges[None, :, :]
-        d2 = np.sum((feet - q[:, None, :]) ** 2, axis=2)
-        best = np.argmin(d2, axis=1)
-        proj = feet[np.arange(len(q)), best]
-        dist = np.sqrt(d2[np.arange(len(q)), best])
-        proj[inside] = q[inside]
-        dist[inside] = 0.0
+        proj = q.copy()
+        dist = np.zeros(len(q))
+        out = np.flatnonzero(~self.contains_many(q))
+        if out.size:
+            # Candidate feet of perpendiculars on every edge segment.
+            rel = q[out, None, :] - self._v[None, :, :]
+            t = np.einsum("mej,ej->me", rel, self._edges) / self._edge_dot[None, :]
+            t = np.clip(t, 0.0, 1.0)
+            feet = self._v[None, :, :] + t[:, :, None] * self._edges[None, :, :]
+            d2 = np.sum((feet - q[out, None, :]) ** 2, axis=2)
+            best = np.argmin(d2, axis=1)
+            proj[out] = feet[np.arange(out.size), best]
+            dist[out] = np.sqrt(d2[np.arange(out.size), best])
         return proj, dist
 
     def __repr__(self) -> str:
         return f"ForPolygon({self._v.tolist()})"
+
+
+class RegionTable:
+    """The edges of several convex regions in one table, for chord queries
+    on all of them at once. Region u is column u; a region with fewer edges
+    than the largest is padded with edges that never meet a line. The
+    table is read-only; its arrays are (edges, 1, regions), so that a
+    block of values (rows, regions) broadcasts against them."""
+
+    def __init__(self, regions):
+        n = max((len(v) for v in regions), default=3)
+        a = np.zeros((n, len(regions), 2))
+        b = np.zeros_like(a)
+        real = np.zeros((n, len(regions)), bool)
+        for u, v in enumerate(regions):
+            a[:len(v), u] = v
+            b[:len(v), u] = np.roll(v, -1, axis=0)
+            real[:len(v), u] = True
+        d = b - a
+        self._axes = []
+        for axis in (0, 1):
+            other = 1 - axis
+            lo_e = np.minimum(a[..., axis], b[..., axis])
+            hi_e = np.maximum(a[..., axis], b[..., axis])
+            flat = hi_e - lo_e < 1e-12
+            fields = (np.where(real, lo_e - BOUNDARY_TOL, np.inf),
+                      np.where(real, hi_e + BOUNDARY_TOL, -np.inf),
+                      a[..., axis], np.where(flat, 1.0, d[..., axis]),
+                      a[..., other], d[..., other], flat,
+                      np.minimum(a[..., other], b[..., other]),
+                      np.maximum(a[..., other], b[..., other]))
+            for f in fields:
+                f.setflags(write=False)
+            self._axes.append(tuple(f[:, None, :] for f in fields))
+
+    def chord_bounds(self, values, axis: int):
+        """Chords of every region along lines where coordinate `axis` (0
+        power, 1 heat) is fixed: values is an (R, regions) array and the
+        result (lo, hi, hit) has its shape, over the other coordinate. An
+        edge whose `axis` span, widened by BOUNDARY_TOL, holds a value meets
+        its line at the clamped interpolation point; an edge flat along
+        `axis` contributes both of its ends. Where no edge meets the line,
+        hit is False, lo is +inf and hi is -inf."""
+        meet_lo, meet_hi, start, step, o_start, o_step, flat, o_lo, o_hi = \
+            self._axes[axis]
+        x = values[None]
+        meets = (x >= meet_lo) & (x <= meet_hi)
+        t = np.clip((x - start) / step, 0.0, 1.0)
+        cut = o_start + t * o_step
+        lo = np.where(flat, o_lo, cut)
+        hi = np.where(flat, o_hi, cut)
+        return (np.where(meets, lo, np.inf).min(axis=0),
+                np.where(meets, hi, -np.inf).max(axis=0), meets.any(axis=0))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import ForPolygon
+from .geometry import ForPolygon, RegionTable
 
 BUNDLED_SYSTEMS = ("system1", "system2", "system3")
 
@@ -168,27 +168,28 @@ class SystemDefinition:
         w.setflags(write=False)
         return w
 
+    @cached_property
+    def region_table(self) -> RegionTable:
+        """The cogeneration regions in one RegionTable, column j for
+        cogeneration unit j. Read-only."""
+        return RegionTable([u.region.vertices for u in self.cogen_units])
+
     def gene_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Box bounds of the decision vector, ordered as
         (power-only outputs, cogen powers, cogen heats, heat-only outputs).
-        Cogen bounds are the bounding box of the operating region."""
-        lower: list[float] = []
-        upper: list[float] = []
-        for u in self.power_units:
-            lower.append(u.p_min)
-            upper.append(u.p_max)
-        for u in self.cogen_units:
-            lo, hi = u.region.power_range
-            lower.append(lo)
-            upper.append(hi)
-        for u in self.cogen_units:
-            lo, hi = u.region.heat_range
-            lower.append(lo)
-            upper.append(hi)
-        for u in self.heat_units:
-            lower.append(u.h_min)
-            upper.append(u.h_max)
-        return np.array(lower), np.array(upper)
+        Cogen bounds are the bounding box of the operating region.
+        Read-only, built once per system."""
+        return self._gene_box
+
+    @cached_property
+    def _gene_box(self) -> tuple[np.ndarray, np.ndarray]:
+        ranges = [(u.p_min, u.p_max) for u in self.power_units] \
+            + [u.region.power_range for u in self.cogen_units] \
+            + [u.region.heat_range for u in self.cogen_units] \
+            + [(u.h_min, u.h_max) for u in self.heat_units]
+        box = np.array(ranges, float).T.copy()
+        box.setflags(write=False)
+        return box[0], box[1]
 
     def split_genes(self, genes: np.ndarray):
         """Slice an (M, n_genes) array into (P, O, H, T) views."""

@@ -189,6 +189,51 @@ def polygon_project_sampled(vertices, point, samples_per_edge=2001, zoom_rounds=
     return best
 
 
+def polygon_chord_edges(vertices, values, axis, tol=1e-9):
+    """Chords of one convex CCW polygon at a column of values, edge by edge
+    as the package computed them before its regions shared one edge table:
+    (lo, hi, hit) over the other coordinate. An edge whose `axis` span,
+    widened by tol, holds a value meets its line at the clamped
+    interpolation point; an edge flat along `axis` gives both its ends."""
+    v = np.asarray(vertices, float)
+    x = np.asarray(values, float)[None, :]
+    other = 1 - axis
+    a, b = v, np.roll(v, -1, axis=0)
+    d = b - a
+    lo_e = np.minimum(a[:, axis], b[:, axis])[:, None]
+    hi_e = np.maximum(a[:, axis], b[:, axis])[:, None]
+    meets = (x >= lo_e - tol) & (x <= hi_e + tol)
+    flat = hi_e - lo_e < 1e-12
+    t = np.clip((x - a[:, axis, None]) / np.where(flat, 1.0, d[:, axis, None]),
+                0.0, 1.0)
+    cut = a[:, other, None] + t * d[:, other, None]
+    lo = np.where(flat, np.minimum(a[:, other], b[:, other])[:, None], cut)
+    hi = np.where(flat, np.maximum(a[:, other], b[:, other])[:, None], cut)
+    return (np.where(meets, lo, np.inf).min(axis=0),
+            np.where(meets, hi, -np.inf).max(axis=0), meets.any(axis=0))
+
+
+def polygon_project_every_row(vertices, points, inside):
+    """Projection of an (M, 2) array onto a convex CCW polygon as the
+    package computed it before it skipped the rows inside: the nearest foot
+    of a perpendicular over every edge for every row, then `inside` rows
+    (a boolean mask) put back at distance 0."""
+    v = np.asarray(vertices, float)
+    q = np.asarray(points, float)
+    edges = np.roll(v, -1, axis=0) - v
+    rel = q[:, None, :] - v[None, :, :]
+    t = np.einsum("mej,ej->me", rel, edges) / np.sum(edges * edges, axis=1)[None, :]
+    t = np.clip(t, 0.0, 1.0)
+    feet = v[None, :, :] + t[:, :, None] * edges[None, :, :]
+    d2 = np.sum((feet - q[:, None, :]) ** 2, axis=2)
+    best = np.argmin(d2, axis=1)
+    proj = feet[np.arange(len(q)), best]
+    dist = np.sqrt(d2[np.arange(len(q)), best])
+    proj[inside] = q[inside]
+    dist[inside] = 0.0
+    return proj, dist
+
+
 # ---------------------------------------------------------------------------
 # Hypervolume by Monte-Carlo integration (2-D, minimization).
 # ---------------------------------------------------------------------------

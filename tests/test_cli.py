@@ -591,7 +591,7 @@ class TestMain:
                                                    tmp_path, capsys):
         exp_dir, _ = chped_experiment
         assert main(["metrics", str(exp_dir)]) == 2
-        assert "min < max" in capsys.readouterr().err
+        assert "bi-objective" in capsys.readouterr().err
         bounds = tmp_path / "bounds.json"
         bounds.write_text(json.dumps(
             {"lower": [9000.0, 0.0], "upper": [10000.0, 1.0]}))

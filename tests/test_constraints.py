@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -269,6 +270,28 @@ class TestPenalty:
         assert np.all(ev.violation >= 0.0)
 
 
+class TestNonFiniteObjectives:
+    @pytest.mark.parametrize("field, value, objective", [
+        ("cost_cubic", 1e306, "cost"),
+        ("em_exp_rate", 10.0, "emission"),
+    ])
+    def test_overflow_is_refused_with_the_row_count(self, field, value,
+                                                    objective):
+        # built directly, so load_system's corner check never sees it
+        s2 = load_system("system2")
+        unit = dataclasses.replace(s2.power_units[0], **{field: value})
+        system = dataclasses.replace(s2, power_units=(unit,))
+        genes = _random_genes(system, 7, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fn = cost_batch if objective == "cost" else emission_batch
+            values = fn(*system.split_genes(repair_batch(genes, system)), system)
+            bad = np.count_nonzero(~np.isfinite(values))
+            assert bad > 0
+            with pytest.raises(ValueError, match=rf"^{objective} is not "
+                               rf"finite in {bad} of 7 row\(s\)"):
+                evaluate_batch(genes, system)
+
+
 # Derandomized, so every run of the suite draws the same examples.
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=40)
@@ -350,6 +373,21 @@ class TestPerRowRepair:
                     others = x[:6].sum() - x[pk]
                     x[pk] = 600.0 + oracles.sys3_loss(*x[:6]) - others
                 assert abs(x[pk] - row[pk]) < 1e-9
+
+        check()
+
+    @pytest.mark.parametrize("name", ["system1", "system2", "system3"])
+    def test_repaired_cogen_points_are_inside_their_regions(self, name):
+        # so the capacity term's projection finds no row to project
+        system = load_system(name)
+
+        @PROPERTY
+        @given(_rows_around_box(system, 100))
+        def check(g):
+            _, o, h, _ = system.split_genes(repair_batch(g, system))
+            for j, u in enumerate(system.cogen_units):
+                assert u.region.contains_many(
+                    np.column_stack([o[:, j], h[:, j]])).all()
 
         check()
 

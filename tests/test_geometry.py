@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chpdispatch import ForPolygon, load_system
+from chpdispatch.geometry import BOUNDARY_TOL, RegionTable
 
-from oracles import (polygon_chord_halfplanes, polygon_contains_crossing,
+from oracles import (polygon_chord_edges, polygon_chord_halfplanes,
+                     polygon_contains_crossing, polygon_project_every_row,
                      polygon_project_sampled)
 
 # The two cogeneration regions of the first test system and the remaining
@@ -233,3 +235,115 @@ class TestProjectionProperties:
         proj, dist = poly.project_many(pts)
         assert np.array_equal(proj[inside], pts[inside])
         assert np.all(dist[inside] == 0.0)
+
+
+# A strictly convex octagon with two edges flat along each axis: any three
+# to six of its vertices, in order, bound a convex counter-clockwise region.
+OCTAGON = np.array([(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2),
+                    (0, 1)], float)
+
+
+@st.composite
+def _random_region(draw):
+    """A convex region with 3 to 6 vertices, scaled and shifted: either
+    some of the octagon's vertices (with axis-flat edges) or points at
+    distinct multiples of 10 degrees on a circle."""
+    n = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        unit = OCTAGON[sorted(draw(st.lists(st.integers(0, 7), min_size=n,
+                                            max_size=n, unique=True)))]
+    else:
+        angles = np.radians(10.0 * np.sort(draw(st.lists(
+            st.integers(0, 35), min_size=n, max_size=n, unique=True))))
+        unit = np.column_stack([np.cos(angles), np.sin(angles)])
+    scale = np.array([draw(st.floats(0.5, 200.0)), draw(st.floats(0.5, 200.0))])
+    shift = np.array([draw(st.floats(0.0, 300.0)), draw(st.floats(0.0, 300.0))])
+    return unit * scale + shift
+
+
+@st.composite
+def _table_queries(draw):
+    """1 to 4 regions (so shorter ones are padded), an axis, and an (R, U)
+    block of values: each column drawn from its region's vertex coordinates
+    along the axis, those +- BOUNDARY_TOL and +- twice it, points across
+    the range, and values 1 beyond it."""
+    regions = draw(st.lists(_random_region(), min_size=1, max_size=4))
+    axis = draw(st.sampled_from((0, 1)))
+    rows = draw(st.integers(1, 12))
+    columns = []
+    for v in regions:
+        c = v[:, axis]
+        lo, hi = c.min(), c.max()
+        pool = np.concatenate([
+            c, c - BOUNDARY_TOL, c + BOUNDARY_TOL, c - 2 * BOUNDARY_TOL,
+            c + 2 * BOUNDARY_TOL, lo + np.linspace(0.0, 1.0, 7) * (hi - lo),
+            [lo - 1.0, hi + 1.0]])
+        pick = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows,
+                             max_size=rows))
+        columns.append(pool[pick])
+    return regions, axis, np.column_stack(columns)
+
+
+class TestRegionTable:
+    @PROPERTY
+    @given(_table_queries())
+    def test_table_equals_each_region_alone(self, query):
+        # bit for bit, against each region's own chord_bounds and against
+        # the edge-by-edge chords of a single polygon
+        regions, axis, values = query
+        got = RegionTable(regions).chord_bounds(values, axis)
+        for u, v in enumerate(regions):
+            alone = ForPolygon(v).chord_bounds(values[:, u], axis)
+            edges = polygon_chord_edges(v, values[:, u], axis)
+            for column, want, old in zip(got, alone, edges):
+                assert np.array_equal(column[:, u], want)
+                assert np.array_equal(column[:, u], old)
+
+    @pytest.mark.parametrize("name", ["system1", "system2", "system3"])
+    def test_system_table_column_is_each_unit(self, name):
+        system = load_system(name)
+        table = system.region_table
+        assert system.region_table is table
+        for axis in (0, 1):
+            values = np.vstack([np.resize(u.region.vertices[:, axis], 6)
+                                for u in system.cogen_units]).T
+            got = table.chord_bounds(values, axis)
+            for j, u in enumerate(system.cogen_units):
+                want = u.region.chord_bounds(values[:, j], axis)
+                for column, w in zip(got, want):
+                    assert np.array_equal(column[:, j], w)
+
+
+@st.composite
+def _mixed_points(draw):
+    """A region and points around it, with its centroid (inside) and a
+    point beyond its bounding box (outside) among them."""
+    verts = draw(st.one_of(st.sampled_from(REGIONS), _random_region()))
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    frac = draw(st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)),
+                         max_size=30))
+    pts = lo + np.array(frac + [(1.5, -0.5)]).reshape(-1, 2) * (hi - lo)
+    return verts, np.vstack([pts, verts.mean(axis=0)])
+
+
+class TestProjectionOfTheRowsOutside:
+    @PROPERTY
+    @given(_mixed_points())
+    def test_batch_equals_each_point_alone(self, case):
+        verts, pts = case
+        poly = ForPolygon(verts)
+        proj, dist = poly.project_many(pts)
+        alone = [poly.project_many(q[None, :]) for q in pts]
+        assert np.array_equal(proj, np.vstack([a[0] for a in alone]))
+        assert np.array_equal(dist, np.concatenate([a[1] for a in alone]))
+        # and each row equals the projection of every row at once
+        old_proj, old_dist = polygon_project_every_row(
+            verts, pts, poly.contains_many(pts))
+        assert np.array_equal(proj, old_proj)
+        assert np.array_equal(dist, old_dist)
+
+    def test_input_is_not_aliased(self):
+        pts = np.array([[150.0, 60.0], [0.0, 0.0]])
+        proj, _ = ForPolygon(QUAD).project_many(pts)
+        proj[0] = -1.0
+        assert pts[0, 0] == 150.0
