@@ -41,6 +41,8 @@ _EXPERIMENT_KEYS = {
     "experiment_id", "system", "mode", "repetitions", "seed_base",
     "output_dir", "algorithms",
 }
+# what an algorithm entry may set; the seed comes from seed_base
+_ENTRY_KEYS = {"algorithm", "population_size", "max_evaluations"}
 
 
 @dataclass(frozen=True)
@@ -88,14 +90,27 @@ def load_experiment(path) -> ExperimentConfig:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise SystemLoadError(f"experiment file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SystemLoadError("experiment file must hold a JSON object")
     unknown = set(data) - _EXPERIMENT_KEYS
     if unknown:
         raise SystemLoadError(f"experiment file has unknown field(s): {sorted(unknown)}")
     for key in ("experiment_id", "system", "algorithms"):
         if key not in data:
             raise SystemLoadError(f"experiment file is missing '{key}'")
+    if not isinstance(data["algorithms"], list) \
+            or not all(isinstance(e, dict) for e in data["algorithms"]):
+        raise SystemLoadError("'algorithms' must be a list of JSON objects")
     algorithms = []
     for i, entry in enumerate(data["algorithms"]):
+        if "rng_seed" in entry:
+            raise SystemLoadError(
+                f"algorithms[{i}] sets 'rng_seed'; seeds come from 'seed_base' "
+                "and 'repetitions'")
+        unknown = set(entry) - _ENTRY_KEYS
+        if unknown:
+            raise SystemLoadError(
+                f"algorithms[{i}] has unknown field(s): {sorted(unknown)}")
         try:
             algorithms.append(EngineConfig(**entry))
         except (TypeError, ValueError) as exc:
@@ -188,8 +203,7 @@ def _write_front_csv(path: Path, front: FrontArchive,
     _write_table(path, header, data[order].tolist())
 
 
-def _read_front_csv(path: Path, algorithm: str, seed: int,
-                    system_id: str = "") -> FrontArchive:
+def _read_front_csv(path: Path, algorithm: str, seed: int) -> FrontArchive:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -200,9 +214,7 @@ def _read_front_csv(path: Path, algorithm: str, seed: int,
         genes=data[:, n_obj + 1:],
         objectives=data[:, :n_obj],
         violations=data[:, n_obj],
-        run_id=path.stem,
         seed=seed,
-        system_id=system_id,
         algorithm=algorithm,
     )
 
@@ -230,9 +242,9 @@ def _discover_runs(exp_dir: Path) -> dict[str, dict[int, Path]]:
     return found
 
 
-def _load_fronts(found, system_id: str = "") -> dict[str, dict[int, FrontArchive]]:
+def _load_fronts(found) -> dict[str, dict[int, FrontArchive]]:
     """Read every discovered front CSV once: {algorithm: {seed: front}}."""
-    return {alg: {seed: _read_front_csv(path, alg, seed, system_id)
+    return {alg: {seed: _read_front_csv(path, alg, seed)
                   for seed, path in runs.items()}
             for alg, runs in found.items()}
 
@@ -308,7 +320,8 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None,
         "mode": cfg.mode,
         "repetitions": cfg.repetitions,
         "seed_base": cfg.seed_base,
-        "algorithms": [asdict(a) for a in cfg.algorithms],
+        "algorithms": [{k: v for k, v in asdict(a).items() if k in _ENTRY_KEYS}
+                       for a in cfg.algorithms],
         "runs": manifest_runs,
     }
     _atomic_write(exp_dir / "manifest.json",
@@ -387,7 +400,7 @@ def emit_reports(exp_dir, alpha: float = 0.05) -> list[Path]:
     exp_dir = Path(exp_dir)
     manifest = _load_manifest(exp_dir)
     system = load_system(manifest["system"])
-    fronts = _load_fronts(_discover_runs(exp_dir), system.name)
+    fronts = _load_fronts(_discover_runs(exp_dir))
     walls = {(r["algorithm"], r["seed"]): r["wall_time"]
              for r in manifest.get("runs", [])}
     two_obj = _two_objective(fronts)
@@ -485,7 +498,7 @@ def _parse_bounds(spec: str, fronts) -> NormalizationBounds:
 def _cmd_metrics(args) -> int:
     exp_dir = Path(args.run_dir)
     manifest = _load_manifest(exp_dir)
-    fronts = _load_fronts(_discover_runs(exp_dir), manifest["system_id"])
+    fronts = _load_fronts(_discover_runs(exp_dir))
     _require_two_objectives(fronts, "metrics")
     bounds = _parse_bounds(args.bounds, fronts)
     rows = _metric_rows(fronts, manifest["system_id"], bounds)
@@ -498,8 +511,8 @@ def _cmd_eaf(args) -> int:
     levels = [float(v) for v in args.levels.split(",") if v.strip()]
     if not levels:
         raise SystemLoadError("no attainment levels given")
-    manifest = _load_manifest(exp_dir)
-    fronts = _load_fronts(_discover_runs(exp_dir), manifest["system_id"])
+    _load_manifest(exp_dir)   # refuse a directory that holds no experiment
+    fronts = _load_fronts(_discover_runs(exp_dir))
     _require_two_objectives(fronts, "EAF")
     for alg in sorted(fronts):
         if len(fronts[alg]) < 2:

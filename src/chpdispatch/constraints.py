@@ -131,8 +131,8 @@ def _close_heat_balance(o, h, t, system, hk):
     u = system.heat_units[hk]
     need = system.heat_demand - h.sum(axis=1) - (t.sum(axis=1) - t[:, hk])
     t[:, hk] = np.clip(need, u.h_min, u.h_max)
-    lo = np.array([hu.h_min for hu in system.heat_units])
-    hi = np.array([hu.h_max for hu in system.heat_units])
+    first = system.n_power + 2 * system.n_cogen
+    lo, hi = (b[first:] for b in system.gene_bounds())
     _spread_leftover(need - t[:, hk], t, lo, hi, hk, h, o, system, heat=True)
 
 
@@ -152,8 +152,7 @@ def _close_power_balance(p, o, h, system, pk):
     change falls below LOSS_FIXED_POINT_TOL; a RuntimeWarning reports rows
     still above it after LOSS_FIXED_POINT_MAX_ITERS passes."""
     u = system.power_units[pk]
-    lo = np.array([pu.p_min for pu in system.power_units])
-    hi = np.array([pu.p_max for pu in system.power_units])
+    lo, hi = (b[:system.n_power] for b in system.gene_bounds())
 
     def others_of(p, o):
         return p.sum(axis=1) - p[:, pk] + o.sum(axis=1)

@@ -9,7 +9,7 @@ again after it. Survivor selection is the only per-algorithm step; it
 also returns the survivors' tournament key, lower winning:
 
 - IDBEA: indicator-based environmental selection reduces the pool to
-  N / archive_keep_fraction rows, rounded up (250 for the default N=200,
+  N / ARCHIVE_KEEP_FRACTION rows, rounded up (250 for the default N=200,
   fraction 0.8), and a crowding stage keeps the most spread-out N of
   those. It drops the worst-ranked constraint-aware fronts first and
   prunes the boundary front one row at a time, bringing crowding up to
@@ -17,11 +17,11 @@ also returns the survivors' tournament key, lower winning:
   at once. A removal changes only its sort neighbours' crowding, so only
   theirs is recomputed. Key: (violation, fitness).
 - IBEA: the indicator stage selects N rows directly, with no crowding
-  stage (as does IDBEA with archive_keep_fraction=1.0).
+  stage.
 - NSGA2: whole fronts best rank first, the boundary front cut by
   crowding. Key: (rank, -crowding).
 
-Fitness orientation: each individual accumulates exp(-I/(c*kappa)) over
+Fitness orientation: each individual accumulates exp(-I/(c*KAPPA)) over
 the scaled pairwise hypervolume indicator values against it, so dominated
 individuals collect large sums and the worst individual is the argmax.
 Environmental selection removes that argmax repeatedly, updating the sums
@@ -50,6 +50,14 @@ from .constraints import evaluate_batch
 from .model import SystemDefinition
 
 FEASIBILITY_TOL = 1e-9
+# one set of variation and indicator settings for all three solvers; the
+# mutation probability per gene is 1 / n_genes
+CROSSOVER_PROB = 0.9
+SBX_ETA = 20.0
+PM_ETA = 20.0
+KAPPA = 0.05
+# IDBEA: share of the indicator-selected pool the crowding stage keeps
+ARCHIVE_KEEP_FRACTION = 0.8
 _ALGORITHMS = ("IDBEA", "IBEA", "NSGA2")
 _MODES = ("chped", "chpeed")
 
@@ -58,13 +66,6 @@ _MODES = ("chped", "chpeed")
 class EngineConfig:
     population_size: int = 200
     max_evaluations: int = 25000
-    crossover_prob: float = 0.9
-    mutation_prob: float | None = None  # None -> 1 / n_genes
-    sbx_eta: float = 20.0
-    pm_eta: float = 20.0
-    kappa: float = 0.05
-    # IDBEA: share of the indicator-selected pool the crowding stage keeps
-    archive_keep_fraction: float = 0.8
     rng_seed: int = 0
     algorithm: str = "IDBEA"
 
@@ -73,16 +74,6 @@ class EngineConfig:
             raise ValueError("population_size must be even and at least 4")
         if self.max_evaluations < self.population_size:
             raise ValueError("max_evaluations must cover at least one population")
-        if not 0 <= self.crossover_prob <= 1:
-            raise ValueError("crossover_prob must be in [0, 1]")
-        if self.mutation_prob is not None and not 0 <= self.mutation_prob <= 1:
-            raise ValueError("mutation_prob must be in [0, 1]")
-        if self.sbx_eta <= 0 or self.pm_eta <= 0:
-            raise ValueError("distribution indices must be positive")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if not 0 < self.archive_keep_fraction <= 1:
-            raise ValueError("archive_keep_fraction must be in (0, 1]")
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}")
 
@@ -93,9 +84,7 @@ class FrontArchive:
     genes: np.ndarray        # (n, n_genes) repaired decision vectors
     objectives: np.ndarray   # (n, 2) = (cost, emission), or (n, 1) cost only
     violations: np.ndarray   # (n,)
-    run_id: str
     seed: int
-    system_id: str
     algorithm: str
     n_evaluations: int = 0
 
@@ -163,10 +152,10 @@ def _pairwise_indicator(nobjs: np.ndarray, ref: float = 1.1) -> np.ndarray:
     return overlap
 
 
-def _indicator_fitness(objs: np.ndarray, kappa: float):
+def _indicator_fitness(objs: np.ndarray):
     """Fitness vector F and contribution matrix E.
 
-    E[j, i] = exp(-I[j, i] / (c_i * kappa)) where c_i is the largest
+    E[j, i] = exp(-I[j, i] / (c_i * KAPPA)) where c_i is the largest
     absolute indicator value against individual i, so each individual's
     incoming comparisons use its own scale; F_i = sum_{j != i} E[j, i].
     Larger F marks a worse individual. An individual attacked weakly by
@@ -177,15 +166,14 @@ def _indicator_fitness(objs: np.ndarray, kappa: float):
     c = np.maximum(e.max(axis=0), -e.min(axis=0))
     c[c == 0.0] = 1.0
     # in place: (-I) / s and -(I / s) round alike
-    np.divide(e, c * kappa, out=e)
+    np.divide(e, c * KAPPA, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
     np.fill_diagonal(e, 0.0)
     return e.sum(axis=0), e
 
 
-def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int,
-                kappa: float):
+def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int):
     """Remove worst individuals until n_keep remain.
 
     Constraint layer first: while any (effectively) infeasible individual
@@ -217,7 +205,7 @@ def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int,
     infeasible row is alive.
     """
     n = objs.shape[0]
-    _, e = _indicator_fitness(objs, kappa)
+    _, e = _indicator_fitness(objs)
     run = np.cumsum(e, axis=0)
     fit = run[-1].copy()
     err = np.maximum(run[:-1], e[1:])
@@ -426,11 +414,11 @@ def _indicator_select(objs: np.ndarray, viol: np.ndarray, ecfg: EngineConfig):
         alive = np.sort(best[:n])
         return alive, veff[alive], objs[alive, 0]
     crowd = ecfg.algorithm == "IDBEA"
-    n_pool = int(np.ceil(n / ecfg.archive_keep_fraction)) if crowd else n
+    n_pool = int(np.ceil(n / ARCHIVE_KEEP_FRACTION)) if crowd else n
     if objs.shape[0] > n_pool:
-        alive, fit, _ = _env_select(objs, viol, n_pool, ecfg.kappa)
+        alive, fit, _ = _env_select(objs, viol, n_pool)
     else:
-        fit, _ = _indicator_fitness(objs, ecfg.kappa)
+        fit, _ = _indicator_fitness(objs)
         alive = np.arange(objs.shape[0])
     if alive.shape[0] > n:
         alive = alive[_crowding_truncate(objs[alive], viol[alive], n)]
@@ -469,23 +457,23 @@ def _tournament(primary: np.ndarray, secondary: np.ndarray, k: int,
     return np.where(better, j, i)
 
 
-def _spawn_children(genes, primary, secondary, lower, upper,
-                    ecfg: EngineConfig, rng, pm_prob: float) -> np.ndarray:
-    """N children of the survivors: tournament winners 0::2 and 1::2 pair
+def _spawn_children(genes, primary, secondary, lower, upper, n: int,
+                    rng) -> np.ndarray:
+    """n children of the survivors: tournament winners 0::2 and 1::2 pair
     up, SBX (Deb & Agrawal 1995) writes c1 to rows 0::2 and c2 to rows
     1::2, the children are clipped into the gene box, then polynomial
-    mutation (Deb & Goyal 1996) moves each gene with probability pm_prob
-    and the result is clipped again. Draws, in order: the (2, N) tournament
-    indices; one crossover flag per pair; the SBX spread u and the
-    per-gene exchange mask, (N/2, m) each; the mutation flags and the
-    mutation r, (N, m) each."""
-    n, m = ecfg.population_size, genes.shape[1]
+    mutation (Deb & Goyal 1996) moves each of the m genes with probability
+    1 / m and the result is clipped again. Draws, in order: the (2, n)
+    tournament indices; one crossover flag per pair; the SBX spread u and
+    the per-gene exchange mask, (n/2, m) each; the mutation flags and the
+    mutation r, (n, m) each."""
+    m = genes.shape[1]
     win = _tournament(primary, secondary, n, rng)
     a, b = genes[win[0::2]], genes[win[1::2]]
-    cross = rng.random(n // 2) < ecfg.crossover_prob
+    cross = rng.random(n // 2) < CROSSOVER_PROB
     u = rng.random((n // 2, m))
     mask = (rng.random((n // 2, m)) < 0.5) & cross[:, None]
-    exp = 1.0 / (ecfg.sbx_eta + 1.0)
+    exp = 1.0 / (SBX_ETA + 1.0)
     beta = np.where(u <= 0.5, (2.0 * u) ** exp,
                     (1.0 / (2.0 * (1.0 - u))) ** exp)
     c1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
@@ -494,9 +482,9 @@ def _spawn_children(genes, primary, secondary, lower, upper,
     children[0::2] = np.where(mask, c1, a)
     children[1::2] = np.where(mask, c2, b)
     np.clip(children, lower, upper, out=children)
-    do = rng.random((n, m)) < pm_prob
+    do = rng.random((n, m)) < 1.0 / m
     r = rng.random((n, m))
-    exp = 1.0 / (ecfg.pm_eta + 1.0)
+    exp = 1.0 / (PM_ETA + 1.0)
     delta = np.where(r < 0.5, (2.0 * r) ** exp - 1.0,
                      1.0 - (2.0 * (1.0 - r)) ** exp)
     children = np.where(do, children + delta * (upper - lower), children)
@@ -513,7 +501,7 @@ def _raw_objs(ev, n_objs: int) -> np.ndarray:
     return np.column_stack([ev.cost, ev.emission])
 
 
-def _make_front(genes, raw, viol, system, ecfg, seed, evals) -> FrontArchive:
+def _make_front(genes, raw, viol, ecfg, evals) -> FrontArchive:
     fronts = _fast_nds(raw, viol)
     keep = fronts[0]
     genes, raw, viol = genes[keep], raw[keep], viol[keep]
@@ -523,9 +511,7 @@ def _make_front(genes, raw, viol, system, ecfg, seed, evals) -> FrontArchive:
         genes=genes[keep].copy(),
         objectives=raw[keep].copy(),
         violations=viol[keep].copy(),
-        run_id=f"{system.name}-{ecfg.algorithm}-s{seed}",
-        seed=seed,
-        system_id=system.name,
+        seed=ecfg.rng_seed,
         algorithm=ecfg.algorithm,
         n_evaluations=evals,
     )
@@ -541,9 +527,6 @@ def run(system: SystemDefinition, ecfg: EngineConfig,
     rng = np.random.default_rng(ecfg.rng_seed)
     lower, upper = system.gene_bounds()
     n_objs = 1 if mode == "chped" else 2
-    pm_prob = ecfg.mutation_prob
-    if pm_prob is None:
-        pm_prob = 1.0 / system.n_genes
     n = ecfg.population_size
     ev = evaluate_batch(rng.random((n, system.n_genes)) * (upper - lower)
                         + lower, system)
@@ -553,11 +536,9 @@ def run(system: SystemDefinition, ecfg: EngineConfig,
         keep, primary, secondary = select(objs, viol, ecfg)
         genes, objs, viol = genes[keep], objs[keep], viol[keep]
         if evals >= ecfg.max_evaluations:
-            return _make_front(genes, objs, viol, system, ecfg,
-                               ecfg.rng_seed, evals)
+            return _make_front(genes, objs, viol, ecfg, evals)
         ev = evaluate_batch(_spawn_children(genes, primary, secondary, lower,
-                                            upper, ecfg, rng, pm_prob),
-                            system)
+                                            upper, n, rng), system)
         evals += n
         genes = np.vstack([ev.genes, genes])
         objs = np.vstack([_raw_objs(ev, n_objs), objs])

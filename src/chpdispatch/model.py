@@ -493,6 +493,8 @@ def load_system(path_or_name) -> SystemDefinition:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SystemLoadError(f"system file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SystemLoadError("system file must hold a JSON object")
 
     demand = data.get("demand")
     if not isinstance(demand, dict) or "power" not in demand or "heat" not in demand:

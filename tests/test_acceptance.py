@@ -202,7 +202,7 @@ class TestOracleEquivalence:
             objs = rng.random((n, 2)) * [500.0, 3.0]
             viol = np.where(rng.random(n) < 0.3, rng.random(n), 0.0)
             keep = int(rng.integers(2, n))
-            alive, fit, removed = _env_select(objs, viol, keep, kappa=0.05)
+            alive, fit, removed = _env_select(objs, viol, keep)
             want_alive, want_removed = oracles.environmental_selection_bruteforce(
                 objs, keep, violations=viol)
             assert list(alive) == want_alive

@@ -94,6 +94,40 @@ class TestLoadExperiment:
         with pytest.raises(SystemLoadError, match="not valid JSON"):
             load_experiment(path)
 
+    @pytest.mark.parametrize("text", [
+        "5", '["experiment_id", "system", "algorithms"]'])
+    def test_non_object_rejected(self, tmp_path, text):
+        path = tmp_path / "exp.json"
+        path.write_text(text)
+        with pytest.raises(SystemLoadError, match="must hold a JSON object"):
+            load_experiment(path)
+
+    @pytest.mark.parametrize("algorithms", [5, [5], ["IDBEA"]])
+    def test_algorithms_must_be_objects(self, tmp_path, algorithms):
+        path = _write_exp(tmp_path, algorithms=algorithms)
+        with pytest.raises(SystemLoadError, match="list of JSON objects"):
+            load_experiment(path)
+
+    @pytest.mark.parametrize("field", [
+        "bogus", "crossover_prob", "mutation_prob", "sbx_eta", "pm_eta",
+        "kappa", "archive_keep_fraction"])
+    def test_unknown_entry_field(self, tmp_path, field):
+        algs = [dict(algorithm="IDBEA", **TINY),
+                dict(algorithm="IBEA", **TINY, **{field: 0.5})]
+        path = _write_exp(tmp_path, algorithms=algs)
+        with pytest.raises(SystemLoadError,
+                           match=rf"algorithms\[1\] has unknown field\(s\): "
+                                 rf"\['{field}'\]"):
+            load_experiment(path)
+
+    def test_entry_seed_rejected(self, tmp_path):
+        # seeds come from seed_base; an entry's own seed was never run
+        algs = [dict(algorithm="IDBEA", rng_seed=99, **TINY)]
+        path = _write_exp(tmp_path, algorithms=algs)
+        with pytest.raises(SystemLoadError,
+                           match=r"algorithms\[0\] sets 'rng_seed'.*seed_base"):
+            load_experiment(path)
+
     def test_unknown_field(self, tmp_path):
         path = _write_exp(tmp_path, bogus=1)
         with pytest.raises(SystemLoadError,
@@ -264,7 +298,8 @@ class TestRunExperiment:
         assert manifest["system_id"] == "system2"
         assert manifest["mode"] == "chpeed"
         assert manifest["seed_base"] == 5
-        assert len(manifest["algorithms"]) == 2
+        assert manifest["algorithms"] == [
+            dict(algorithm=alg, **TINY) for alg in ("IDBEA", "IBEA")]
         runs = manifest["runs"]
         assert len(runs) == 6
         for entry, rec in zip(runs, records):
@@ -278,7 +313,7 @@ class TestRunExperiment:
         _, exp_dir, records = paired_experiment
         for rec in records:
             path = exp_dir / rec.algorithm / f"{rec.algorithm}_seed{rec.seed}.csv"
-            back = _read_front_csv(path, rec.algorithm, rec.seed, "system2")
+            back = _read_front_csv(path, rec.algorithm, rec.seed)
             assert back.seed == rec.seed
             assert back.algorithm == rec.algorithm
             stored = np.hstack([rec.front.objectives,
@@ -292,7 +327,7 @@ class TestRunExperiment:
         _, exp_dir, records = paired_experiment
         rec = records[0]
         path = exp_dir / rec.algorithm / f"{rec.algorithm}_seed{rec.seed}.csv"
-        back = _read_front_csv(path, rec.algorithm, rec.seed, "system2")
+        back = _read_front_csv(path, rec.algorithm, rec.seed)
         costs = back.objectives[:, 0]
         assert np.all(np.diff(costs) >= 0)
 
@@ -302,7 +337,7 @@ class TestRunExperiment:
         system = load_system("system2")
         for rec in records:
             path = exp_dir / rec.algorithm / f"{rec.algorithm}_seed{rec.seed}.csv"
-            front = _read_front_csv(path, rec.algorithm, rec.seed, "system2")
+            front = _read_front_csv(path, rec.algorithm, rec.seed)
             p, o, h, t = system.split_genes(front.genes)
             assert np.allclose(cost_batch(p, o, h, t, system),
                                front.objectives[:, 0], rtol=1e-9, atol=1e-9)
@@ -415,7 +450,7 @@ class TestEmitReports:
         for alg in ("IDBEA", "IBEA"):
             for seed in (5, 6, 7):
                 path = exp_dir / alg / f"{alg}_seed{seed}.csv"
-                fronts[alg, seed] = _read_front_csv(path, alg, seed, "system2")
+                fronts[alg, seed] = _read_front_csv(path, alg, seed)
         bounds = NormalizationBounds.from_fronts(list(fronts.values()))
         with open(exp_dir / "metrics.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -440,7 +475,7 @@ class TestEmitReports:
     def test_eaf_files_match_recomputation(self, paired_reports):
         exp_dir, _ = paired_reports
         fronts = [_read_front_csv(exp_dir / "IDBEA" / f"IDBEA_seed{s}.csv",
-                                  "IDBEA", s, "system2") for s in (5, 6, 7)]
+                                  "IDBEA", s) for s in (5, 6, 7)]
         surfaces = eaf_surfaces(fronts, (25.0, 50.0, 75.0))
         for level in (25.0, 50.0, 75.0):
             got = np.loadtxt(exp_dir / f"eaf_IDBEA_{int(level)}.csv",
@@ -476,7 +511,7 @@ class TestEmitReports:
         losses = {}
         for seed in (1, 2):
             front = _read_front_csv(exp_dir / "IDBEA" / f"IDBEA_seed{seed}.csv",
-                                    "IDBEA", seed, "system3")
+                                    "IDBEA", seed)
             p, o, _, _ = system.split_genes(front.genes)
             losses[seed] = (front.genes, loss_batch(p, o, system))
         for row in rows:
@@ -490,6 +525,26 @@ class TestEmitReports:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(SystemLoadError, match="manifest not found"):
             emit_reports(tmp_path)
+
+    def test_manifest_with_retired_engine_keys(self, paired_reports,
+                                               tmp_path):
+        # manifests written before the variation and indicator constants
+        # were fixed record them, and each entry's rng_seed, per algorithm
+        exp_dir, written = paired_reports
+        old = tmp_path / "old"
+        shutil.copytree(exp_dir, old, ignore=shutil.ignore_patterns("*.csv"))
+        for alg in ("IDBEA", "IBEA"):
+            shutil.copytree(exp_dir / alg, old / alg, dirs_exist_ok=True)
+        manifest = json.loads((old / "manifest.json").read_text())
+        for entry in manifest["algorithms"]:
+            entry.update(crossover_prob=0.9, mutation_prob=None, sbx_eta=20.0,
+                         pm_eta=20.0, kappa=0.05, archive_keep_fraction=0.8,
+                         rng_seed=0)
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        again = emit_reports(old)
+        assert [p.name for p in again] == [p.name for p in written]
+        for path in written:
+            assert (old / path.name).read_bytes() == path.read_bytes()
 
     def test_each_front_read_once(self, paired_reports, monkeypatch):
         exp_dir, _ = paired_reports

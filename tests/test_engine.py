@@ -1,5 +1,5 @@
+import dataclasses
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,10 @@ from chpdispatch import (
 from chpdispatch import engine
 from chpdispatch.constraints import evaluate_batch
 from chpdispatch.engine import (
+    CROSSOVER_PROB,
     FEASIBILITY_TOL,
+    PM_ETA,
+    SBX_ETA,
     _crowding,
     _crowding_truncate,
     _effective_violation,
@@ -32,7 +35,6 @@ from chpdispatch.engine import (
 
 import oracles
 
-KAPPA = EngineConfig().kappa
 _DYADIC = st.integers(0, 336).map(lambda k: k / 256)
 
 
@@ -112,6 +114,20 @@ class _ScriptedRng:
         return self._next(size)
 
 
+def _variation_draws(rng, k, n, m, cross=None, mutate=None):
+    """The draws _spawn_children takes for n children of m genes bred
+    from k parents, taken from rng in that order; cross and mutate, when
+    given, replace every crossover flag or every mutation flag."""
+    draws = [rng.integers(0, k, size=(2, n)), rng.random(n // 2),
+             rng.random((n // 2, m)), rng.random((n // 2, m)),
+             rng.random((n, m)), rng.random((n, m))]
+    if cross is not None:
+        draws[1] = np.full(n // 2, float(cross))
+    if mutate is not None:
+        draws[4] = np.full((n, m), float(mutate))
+    return draws
+
+
 def _pairs(*pairs):
     """Tournament draws (i, j) as the (2, k) index array one call takes."""
     return np.array(pairs).T
@@ -130,27 +146,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="at least one population"):
             EngineConfig(population_size=10, max_evaluations=9)
 
-    def test_bad_kappa(self):
-        with pytest.raises(ValueError, match="kappa"):
-            _cfg(kappa=0.0)
-
-    def test_bad_keep_fraction(self):
-        with pytest.raises(ValueError, match="archive_keep_fraction"):
-            _cfg(archive_keep_fraction=0.0)
-        with pytest.raises(ValueError, match="archive_keep_fraction"):
-            _cfg(archive_keep_fraction=1.2)
-
     def test_bad_algorithm(self):
         with pytest.raises(ValueError, match="algorithm must be one of"):
             _cfg(algorithm="SPEA2")
 
-    def test_bad_probabilities(self):
-        with pytest.raises(ValueError, match="crossover_prob"):
-            _cfg(crossover_prob=1.5)
-        with pytest.raises(ValueError, match="mutation_prob"):
-            _cfg(mutation_prob=-0.1)
-        with pytest.raises(ValueError, match="positive"):
-            _cfg(sbx_eta=0.0)
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+            "population_size", "max_evaluations", "rng_seed", "algorithm"]
 
 
 class TestDominates:
@@ -274,21 +276,21 @@ class TestIndicator:
 class TestFitness:
     def test_identical_individuals_equal_fitness(self):
         objs = np.array([(0.4, 0.6), (0.4, 0.6), (0.4, 0.6), (0.1, 0.9)])
-        fit, _ = _indicator_fitness(objs, KAPPA)
+        fit, _ = _indicator_fitness(objs)
         assert fit[0] == pytest.approx(fit[1], rel=1e-12)
         assert fit[1] == pytest.approx(fit[2], rel=1e-12)
 
     def test_dominated_by_both_has_largest_fitness(self):
         fit, _ = _indicator_fitness(
-            np.array([(0.2, 0.3), (0.3, 0.2), (0.8, 0.9)]), KAPPA)
+            np.array([(0.2, 0.3), (0.3, 0.2), (0.8, 0.9)]))
         assert np.argmax(fit) == 2
 
     def test_invariant_under_affine_rescaling(self):
         rng = np.random.default_rng(31)
         objs = rng.random((25, 2))
-        base, _ = _indicator_fitness(objs, KAPPA)
+        base, _ = _indicator_fitness(objs)
         scaled, _ = _indicator_fitness(
-            objs * np.array([3.5e3, 0.02]) + np.array([100.0, 7.0]), KAPPA)
+            objs * np.array([3.5e3, 0.02]) + np.array([100.0, 7.0]))
         for a, b in zip(base, scaled):
             assert a == pytest.approx(b, rel=1e-9)
 
@@ -297,7 +299,7 @@ class TestFitness:
         for _ in range(40):
             n = int(rng.integers(2, 26))
             objs = rng.random((n, 2))
-            got, _ = _indicator_fitness(objs, KAPPA)
+            got, _ = _indicator_fitness(objs)
             want = oracles.fitness_bruteforce(objs)
             # exp terms reach ~1e8, so the comparison has to be relative
             assert np.allclose(got, want, rtol=1e-9)
@@ -306,7 +308,7 @@ class TestFitness:
 class TestEnvironmentalSelection:
     def test_pool_matching_slots_is_returned_unchanged(self):
         objs = np.random.default_rng(1).random((6, 2))
-        alive, _, removed = _env_select(objs, np.zeros(6), 6, KAPPA)
+        alive, _, removed = _env_select(objs, np.zeros(6), 6)
         assert alive.tolist() == list(range(6))
         assert removed == []
 
@@ -317,7 +319,7 @@ class TestEnvironmentalSelection:
             n_keep = int(rng.integers(2, n))
             objs = rng.random((n, 2))
             viol = np.where(rng.random(n) < 0.3, rng.random(n), 0.0)
-            alive, fit, removed = _env_select(objs, viol, n_keep, kappa=0.05)
+            alive, fit, removed = _env_select(objs, viol, n_keep)
             want_alive, want_removed = oracles.environmental_selection_bruteforce(
                 objs, n_keep, violations=viol)
             assert list(alive) == want_alive
@@ -340,7 +342,7 @@ class TestEnvironmentalSelection:
             ind = oracles._normalized_indicator_matrix(objs)
             c = oracles._receiver_scales(ind)
             for n_keep in range(n - 1, 1, -1):
-                alive, fit, _ = _env_select(objs, viol, n_keep, kappa=0.05)
+                alive, fit, _ = _env_select(objs, viol, n_keep)
                 for i in alive:
                     want = sum(
                         np.exp(-ind[j, i] / (c[i] * 0.05))
@@ -352,7 +354,7 @@ class TestEnvironmentalSelection:
         objs = [(0.1, 0.9), (0.5, 0.5), (0.9, 0.1),
                 (0.2, 0.2), (0.3, 0.3), (0.4, 0.4)]
         viol = [0.0, 0.0, 0.0, 5.0, 2.0, 9.0]
-        _, _, removed = _env_select(np.array(objs), np.array(viol), 3, 0.05)
+        _, _, removed = _env_select(np.array(objs), np.array(viol), 3)
         assert removed == [5, 3, 4]
 
     def test_violation_tie_broken_by_fitness(self):
@@ -360,7 +362,7 @@ class TestEnvironmentalSelection:
         # so it carries the larger fitness and goes first
         objs = np.array([(0.1, 0.9), (0.9, 0.1), (0.3, 0.3), (0.6, 0.6)])
         viol = np.array([0.0, 0.0, 4.0, 4.0])
-        _, _, removed = _env_select(objs, viol, 2, 0.05)
+        _, _, removed = _env_select(objs, viol, 2)
         assert removed == [3, 2]
 
     def test_duplicate_heavy_pool_keeps_distinct_nondominated(self):
@@ -368,7 +370,7 @@ class TestEnvironmentalSelection:
         for pool in (nd + [(0.8, 0.8)] * 3,
                      nd + [(0.95, 0.95)] * 2 + [(0.7, 0.7)]):
             objs = np.array(pool)
-            kept, _, _ = _env_select(objs, np.zeros(6), 4, KAPPA)
+            kept, _, _ = _env_select(objs, np.zeros(6), 4)
             kept_objs = {tuple(objs[i]) for i in kept}
             assert set(nd) <= kept_objs
 
@@ -380,7 +382,7 @@ class TestEnvironmentalSelection:
         zeros = np.zeros(4)
         for combo in itertools.combinations_with_replacement(grid, 4):
             objs = np.array(combo)
-            _, _, removed = _env_select(objs, zeros, 1, 0.05)
+            _, _, removed = _env_select(objs, zeros, 1)
             alive = set(range(4))
             for worst in removed:
                 dominated = {
@@ -400,8 +402,8 @@ class TestEnvironmentalSelection:
         # the reference adds the rows of E one at a time with a Neumaier
         # step and searches the alive rows with flatnonzero every removal
         objs, viol, n_keep = pool
-        alive, fit, removed = _env_select(objs, viol, n_keep, KAPPA)
-        _, e = _indicator_fitness(objs, KAPPA)
+        alive, fit, removed = _env_select(objs, viol, n_keep)
+        _, e = _indicator_fitness(objs)
         want_alive, want_fit, want_removed = oracles.env_select_neumaier(
             e, _effective_violation(viol), n_keep)
         assert alive.tolist() == want_alive.tolist()
@@ -517,10 +519,10 @@ class TestCostSort:
         alive, primary, secondary = _indicator_select(
             objs, viol, _cfg(population_size=n_keep))
         if objs.shape[0] > n_keep:
-            want, fit, _ = _env_select(objs, viol, n_keep, KAPPA)
+            want, fit, _ = _env_select(objs, viol, n_keep)
         else:
             want = np.arange(objs.shape[0])
-            fit, _ = _indicator_fitness(objs, KAPPA)
+            fit, _ = _indicator_fitness(objs)
         assert alive.tolist() == want.tolist()
         veff = _effective_violation(viol[alive])
         assert np.array_equal(primary, veff)
@@ -551,9 +553,9 @@ class TestCostSort:
         # than one unit in the last place, so _env_select sees a tie and
         # removes the first, row 0, where the sort removes the costlier
         objs = np.array([[0.999999999], [-1e-9], [0.0], [-1e-9], [1.0]])
-        fit, _ = _indicator_fitness(objs, KAPPA)
+        fit, _ = _indicator_fitness(objs)
         assert fit[0] == fit[4]
-        assert _env_select(objs, np.zeros(5), 4, KAPPA)[0].tolist() \
+        assert _env_select(objs, np.zeros(5), 4)[0].tolist() \
             == [1, 2, 3, 4]
         alive, _, _ = _indicator_select(objs, np.zeros(5),
                                         _cfg(population_size=4))
@@ -561,48 +563,53 @@ class TestCostSort:
 
 
 class TestVariation:
+    """The operators at their fixed rates. Crossover flags above
+    CROSSOVER_PROB and mutation flags at or above 1/m switch an operator
+    off; flags of 0.0 switch it on everywhere."""
+
     def setup_method(self):
         self.lower = np.zeros(6)
         self.upper = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 
-    def _spawn(self, genes, rng, pm_prob, **cfg):
+    def _spawn(self, genes, rng, n=4, cross=None, mutate=None):
         # flat keys: every tournament keeps its first draw
         keys = np.zeros(genes.shape[0])
-        return _spawn_children(genes, keys, keys, self.lower, self.upper,
-                               _cfg(**cfg), rng, pm_prob)
+        draws = _variation_draws(rng, genes.shape[0], n, genes.shape[1],
+                                 cross, mutate)
+        return _spawn_children(genes, keys, keys, self.lower, self.upper, n,
+                               _ScriptedRng(draws)), draws
 
     def _in_box(self, n, rng):
         return self.lower + rng.random((n, 6)) * (self.upper - self.lower)
 
     def test_sbx_without_event_copies_parents(self):
         genes = self._in_box(5, np.random.default_rng(10))
-        kids = self._spawn(genes, np.random.default_rng(0), 0.0,
-                           crossover_prob=0.0, population_size=8)
-        keys = np.zeros(5)
-        win = _tournament(keys, keys, 8, np.random.default_rng(0))
-        assert np.array_equal(kids, genes[win])
+        kids, draws = self._spawn(genes, np.random.default_rng(0), n=8,
+                                  cross=0.95, mutate=1.0)
+        assert np.array_equal(kids, genes[draws[0][0]])
         assert not np.shares_memory(kids, genes)
 
     def test_sbx_identical_parents_identical_children(self):
         rng = np.random.default_rng(1)
         a = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
         for _ in range(20):
-            kids = self._spawn(np.tile(a, (3, 1)), rng, 0.0,
-                               crossover_prob=1.0)
+            kids, _ = self._spawn(np.tile(a, (3, 1)), rng, cross=0.0,
+                                  mutate=1.0)
             assert np.allclose(kids, a, atol=1e-12)
 
     def test_sbx_children_stay_in_bounds(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            kids = self._spawn(self._in_box(2000, rng), rng, 0.0,
-                               population_size=2000)
+            kids, _ = self._spawn(self._in_box(2000, rng), rng, n=2000,
+                                  cross=0.0, mutate=1.0)
             assert (kids >= self.lower).all() and (kids <= self.upper).all()
 
     def test_mutation_probability_zero_is_identity(self):
+        # mutation flags exactly at 1/m: no gene mutates
         x = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
         genes = np.tile(x, (4, 1))
-        kids = self._spawn(genes, np.random.default_rng(4), 0.0,
-                           crossover_prob=0.0)
+        kids, _ = self._spawn(genes, np.random.default_rng(4), cross=0.95,
+                              mutate=1.0 / 6)
         assert np.array_equal(kids, genes)
         assert not np.shares_memory(kids, genes)
 
@@ -611,53 +618,48 @@ class TestVariation:
         genes = np.tile(self.lower, (4, 1))
         saw_increase = False
         for _ in range(500):
-            kids = self._spawn(genes, rng, 1.0)
+            kids, _ = self._spawn(genes, rng, mutate=0.0)
             assert (kids >= self.lower).all()
             saw_increase = saw_increase or (kids > self.lower).any()
         assert saw_increase
 
     def test_mutation_event_rate(self):
+        # no crossover: each gene mutates with probability 1/m, here for
+        # m = 3 genes
         rng = np.random.default_rng(6)
-        x = 0.5 * (self.lower + self.upper)
+        lower, upper = self.lower[:3], self.upper[:3]
+        x = 0.5 * (lower + upper)
         genes = np.tile(x, (1000, 1))
+        keys = np.zeros(1000)
         changed = 0
         total = 0
         for _ in range(170):
-            kids = self._spawn(genes, rng, 0.3, crossover_prob=0.0,
-                               population_size=1000)
+            draws = _variation_draws(rng, 1000, 1000, 3, cross=0.95)
+            kids = _spawn_children(genes, keys, keys, lower, upper, 1000,
+                                   _ScriptedRng(draws))
             changed += int((kids != x).sum())
             total += kids.size
         rate = changed / total
-        sigma = np.sqrt(0.3 * 0.7 / total)
-        assert abs(rate - 0.3) < 3.0 * sigma
+        p = 1.0 / 3.0
+        sigma = np.sqrt(p * (1 - p) / total)
+        assert abs(rate - p) < 3.0 * sigma
 
-    def test_mutation_wrapper_default_rate_is_one_over_genes(self,
-                                                             monkeypatch):
-        # run hands _spawn_children the rate
+    def test_mutation_wrapper_default_rate_is_one_over_genes(self):
         system = load_system("system1")
         lower, upper = system.gene_bounds()
-        rates = []
-
-        def spy(*args):
-            rates.append(args[-1])
-            return _spawn_children(*args)
-
-        monkeypatch.setattr(engine, "_spawn_children", spy)
-        run(system, _cfg(max_evaluations=8))  # mutation_prob None
-        (pm_prob,) = rates
         rng = np.random.default_rng(7)
         mid = 0.5 * (lower + upper)
         keys = np.zeros(4)
         changed = 0
         total = 0
         for _ in range(750):
+            draws = _variation_draws(rng, 4, 4, system.n_genes, cross=0.95)
             kids = _spawn_children(np.tile(mid, (4, 1)), keys, keys, lower,
-                                   upper, _cfg(crossover_prob=0.0), rng,
-                                   pm_prob)
+                                   upper, 4, _ScriptedRng(draws))
             changed += int((kids != mid).sum())
             total += kids.size
         rate = changed / total
-        p = 1.0 / 6.0
+        p = 1.0 / system.n_genes
         sigma = np.sqrt(p * (1 - p) / total)
         assert abs(rate - p) < 3.0 * sigma
 
@@ -665,7 +667,8 @@ class TestVariation:
         # scripted draws in the order _spawn_children takes them. Genes 0
         # of the first pair's SBX children leave the box (-0.145 and
         # 1.145) and then mutate, so mutating before clipping, or any
-        # reordered draw, moves the result
+        # reordered draw, moves the result. The second pair does not
+        # cross (0.95); mutation flags below 1/3 mutate
         lower, upper = np.zeros(3), np.array([1.0, 2.0, 4.0])
         genes = np.array([[0.02, 1.0, 2.0], [0.98, 0.5, 3.5],
                           [0.5, 1.5, 0.1]])
@@ -677,20 +680,18 @@ class TestVariation:
                  [[0.999, 0.2, 0.7], [0.1, 0.9, 0.4]],
                  [[0.1, 0.6, 0.3], [0.2, 0.1, 0.7]],
                  [[0.1, 0.9, 0.2], [0.05, 0.6, 0.9],
-                  [0.3, 0.02, 0.8], [0.7, 0.1, 0.4]],
+                  [0.4, 0.02, 0.8], [0.7, 0.1, 0.4]],
                  [[0.8, 0.3, 0.1], [0.2, 0.6, 0.45],
                   [0.5, 0.05, 0.9], [0.35, 0.97, 0.55]]]
-        cfg = _cfg(crossover_prob=0.9)
-        pm_prob = 0.25
-        kids = _spawn_children(genes, primary, secondary, lower, upper, cfg,
-                               _ScriptedRng(draws), pm_prob)
+        kids = _spawn_children(genes, primary, secondary, lower, upper, 4,
+                               _ScriptedRng(draws))
         cross, u, swap, mutate, r = (np.asarray(d) for d in draws[1:])
         want = oracles.sbx_pm_children(
             [(genes[0].tolist(), genes[1].tolist()),
              (genes[2].tolist(), genes[0].tolist())],
-            (cross < cfg.crossover_prob).tolist(), u.tolist(),
-            (swap < 0.5).tolist(), (mutate < pm_prob).tolist(), r.tolist(),
-            lower.tolist(), upper.tolist(), cfg.sbx_eta, cfg.pm_eta)
+            (cross < CROSSOVER_PROB).tolist(), u.tolist(),
+            (swap < 0.5).tolist(), (mutate < 1.0 / 3).tolist(), r.tolist(),
+            lower.tolist(), upper.tolist(), SBX_ETA, PM_ETA)
         assert np.allclose(kids, want, rtol=0.0, atol=1e-12)
 
 
@@ -730,7 +731,7 @@ class TestTournament:
 
     def test_seeded_determinism(self):
         fitness, _ = _indicator_fitness(
-            np.random.default_rng(8).random((10, 2)), KAPPA)
+            np.random.default_rng(8).random((10, 2)))
         veff = np.zeros(10)
         first = _tournament(veff, fitness, 10, np.random.default_rng(99))
         rng_a = np.random.default_rng(99)
@@ -788,16 +789,33 @@ class TestSetup:
                        for g in front.genes)
 
     def test_configured_mutation_rate_is_passed_through(self, monkeypatch):
-        rates = []
+        # run breeds population_size children at the fixed rates: with no
+        # crossover and every mutation flag at 1/n_genes the children are
+        # the tournament winners; one flag just below it mutates a gene,
+        # moved toward the middle of its box
+        system = load_system("system1")
+        m = system.n_genes
+        calls = []
 
-        def spy(*args):
-            rates.append(args[-1])
-            return _spawn_children(*args)
+        def spy(genes, primary, secondary, lower, upper, n, rng):
+            draws = _variation_draws(rng, genes.shape[0], n, m, cross=0.95,
+                                     mutate=1.0 / m)
+            winners = genes[_tournament(primary, secondary, n,
+                                        _ScriptedRng(draws[:1]))]
+            draws[4][0, 0] = np.nextafter(1.0 / m, 0.0)
+            low_half = winners[0, 0] < 0.5 * (lower[0] + upper[0])
+            draws[5][0, 0] = 0.75 if low_half else 0.25
+            kids = _spawn_children(genes, primary, secondary, lower, upper,
+                                   n, _ScriptedRng(draws))
+            calls.append((n, kids, winners))
+            return kids
 
         monkeypatch.setattr(engine, "_spawn_children", spy)
-        run(load_system("system1"), _cfg(mutation_prob=0.25,
-                                         max_evaluations=8))
-        assert rates == [0.25]
+        run(system, _cfg(max_evaluations=8))
+        ((n, kids, winners),) = calls
+        assert n == 4
+        moved = kids != winners
+        assert moved[0, 0] and not moved.ravel()[1:].any()
 
 
 class TestStepEightPrune:
@@ -902,16 +920,6 @@ class TestRuns:
         b = run(self.sys1, other, mode="chped")
         assert a.genes.tobytes() != b.genes.tobytes()
 
-    def test_full_archive_keep_turns_idbea_into_ibea(self):
-        cfg = EngineConfig(population_size=16, max_evaluations=320,
-                           rng_seed=3)
-        plain = run(self.sys2, replace(cfg, algorithm="IBEA"))
-        kept = run(self.sys2, replace(cfg, archive_keep_fraction=1.0))
-        assert plain.algorithm == "IBEA"
-        assert kept.algorithm == "IDBEA"
-        assert np.array_equal(plain.genes, kept.genes)
-        assert np.array_equal(plain.objectives, kept.objectives)
-
     def test_front_is_feasible_and_mutually_nondominated(self):
         cfg = EngineConfig(population_size=24, max_evaluations=480,
                            rng_seed=5)
@@ -953,12 +961,10 @@ class TestRuns:
         raw = np.array([(1.0, 4.0), (1.0, 4.0), (2.0, 5.0), (3.0, 1.0)])
         viol = np.zeros(4)
         cfg = EngineConfig(population_size=4, max_evaluations=4)
-        front = _make_front(genes, raw, viol, self.sys1, cfg, seed=0,
-                            evals=4)
+        front = _make_front(genes, raw, viol, cfg, evals=4)
         assert len(front) == 2
         assert front.objectives.tolist() == [[1.0, 4.0], [3.0, 1.0]]
-        assert front.run_id == "system1-IDBEA-s0"
-        assert front.system_id == "system1"
+        assert (front.seed, front.algorithm) == (0, "IDBEA")
 
 
 class TestArchiveContainer:
@@ -967,7 +973,7 @@ class TestArchiveContainer:
             genes=np.zeros((2, 6)),
             objectives=np.array([(1.0, 2.0), (3.0, 0.5)]),
             violations=np.zeros(2),
-            run_id="r", seed=1, system_id="s", algorithm="IDBEA",
+            seed=1, algorithm="IDBEA",
             n_evaluations=100,
         )
         assert len(arch) == 2

@@ -13,13 +13,13 @@ from chpdispatch import (
 import oracles
 
 
-def _archive(points, run_id="r", seed=0):
+def _archive(points, seed=0):
     pts = np.atleast_2d(np.asarray(points, float))
     return FrontArchive(
         genes=np.zeros((pts.shape[0], 1)),
         objectives=pts,
         violations=np.zeros(pts.shape[0]),
-        run_id=run_id, seed=seed, system_id="s", algorithm="IDBEA",
+        seed=seed, algorithm="IDBEA",
     )
 
 

@@ -260,6 +260,13 @@ class TestLoader:
         with pytest.raises(SystemLoadError, match="valid JSON"):
             load_system(f)
 
+    @pytest.mark.parametrize("text", ["[]", "5", '"system2"'])
+    def test_non_object_rejected(self, tmp_path, text):
+        f = tmp_path / "list.json"
+        f.write_text(text)
+        with pytest.raises(SystemLoadError, match="must hold a JSON object"):
+            load_system(f)
+
     def test_missing_demand(self, tmp_path):
         f = tmp_path / "no_demand.json"
         f.write_text('{"power_units": [{"p_min": 0, "p_max": 10}]}')
