@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -56,9 +57,17 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
+        for name in ("experiment_id", "system", "mode", "output_dir"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, not {value!r}")
         if not self.experiment_id or "/" in self.experiment_id \
                 or os.sep in self.experiment_id:
             raise ValueError("experiment_id must be a plain directory name")
+        for name in ("repetitions", "seed_base"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.mode not in ("chped", "chpeed"):
             raise ValueError("mode must be 'chped' or 'chpeed'")
         if self.repetitions < 1:
@@ -121,8 +130,8 @@ def load_experiment(path) -> ExperimentConfig:
             system=data["system"],
             algorithms=tuple(algorithms),
             mode=data.get("mode", "chpeed"),
-            repetitions=int(data.get("repetitions", 1)),
-            seed_base=int(data.get("seed_base", 1)),
+            repetitions=data.get("repetitions", 1),
+            seed_base=data.get("seed_base", 1),
             output_dir=data.get("output_dir", "runs"),
         )
     except ValueError as exc:
@@ -267,24 +276,75 @@ def _output_base(cfg: ExperimentConfig, base_dir=None) -> Path:
     return Path(env) if env else Path(cfg.output_dir)
 
 
+def _workers(n_runs: int) -> int:
+    """Worker processes for n_runs independent runs: one per CPU this
+    process may run on, at most one per run; one where there is no fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:        # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(n_runs, cpus))
+
+
+def _solve(task):
+    """One seeded run, in a worker process or in the caller: (front, wall
+    seconds, the warnings it raised as (category, text, file, line))."""
+    system, ecfg, mode = task
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        t0 = time.perf_counter()
+        front = engine_run(system, ecfg, mode)
+        wall = time.perf_counter() - t0
+    return front, wall, [(w.category, str(w.message), w.filename, w.lineno)
+                         for w in caught]
+
+
+def _reissue(caught) -> None:
+    """Issue warnings recorded by _solve as if raised where they were, so
+    the caller's filters and once-per-location registries apply."""
+    for category, text, filename, lineno in caught:
+        module = next((m for m in list(sys.modules.values())
+                       if getattr(m, "__file__", None) == filename), None)
+        registry = None if module is None \
+            else vars(module).setdefault("__warningregistry__", {})
+        warnings.warn_explicit(text, category, filename, lineno,
+                               module=getattr(module, "__name__", None),
+                               registry=registry)
+
+
 def run_experiment(cfg: ExperimentConfig, base_dir=None,
                    progress=None) -> list[RunRecord]:
     """Run all seeded repetitions of all configured algorithms, persisting
-    one front CSV per run plus a manifest; returns the run records."""
+    one front CSV per run plus a manifest; returns the run records.
+
+    The runs go to _workers(...) worker processes; each result is written
+    as it arrives, in run order, so the files, records and progress lines
+    are those of a serial loop. wall_time is each run's own time."""
     system = load_system(cfg.system)
     exp_dir = _output_base(cfg, base_dir) / cfg.experiment_id
     exp_dir.mkdir(parents=True, exist_ok=True)
+    for ecfg in cfg.algorithms:
+        (exp_dir / ecfg.algorithm).mkdir(exist_ok=True)
+    tasks = [(system, replace(ecfg, rng_seed=cfg.seed_base + rep), cfg.mode)
+             for ecfg in cfg.algorithms for rep in range(cfg.repetitions)]
+    n_workers = _workers(len(tasks))
+    pool = None
+    if n_workers > 1:
+        import multiprocessing    # here: importing chpdispatch skips it
+        # fork: workers start with numpy, the system and the caller's module
+        # state already loaded; a fresh interpreter per worker would cost a
+        # sizeable share of one run
+        pool = multiprocessing.get_context("fork").Pool(n_workers)
     records = []
     manifest_runs = []
-    for ecfg in cfg.algorithms:
-        alg_dir = exp_dir / ecfg.algorithm
-        alg_dir.mkdir(exist_ok=True)
-        for rep in range(cfg.repetitions):
-            seed = cfg.seed_base + rep
-            t0 = time.perf_counter()
-            front = engine_run(system, replace(ecfg, rng_seed=seed), cfg.mode)
-            wall = time.perf_counter() - t0
-            path = alg_dir / f"{ecfg.algorithm}_seed{seed}.csv"
+    try:
+        results = pool.imap(_solve, tasks) if pool else map(_solve, tasks)
+        for (_, ecfg, _), (front, wall, caught) in zip(tasks, results):
+            seed = ecfg.rng_seed
+            _reissue(caught)
+            path = exp_dir / ecfg.algorithm / f"{ecfg.algorithm}_seed{seed}.csv"
             _write_front_csv(path, front, system)
 
             points = {label: tuple(front.objectives[idx])
@@ -313,6 +373,10 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None,
                 progress(f"{ecfg.algorithm} seed {seed}: "
                          f"{len(front)} front points, "
                          f"best cost {best_cost[0]:.1f}, {wall:.1f}s")
+    finally:
+        if pool is not None:      # no worker outlives the call
+            pool.terminate()
+            pool.join()
     manifest = {
         "experiment_id": cfg.experiment_id,
         "system": cfg.system,

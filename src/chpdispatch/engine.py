@@ -165,9 +165,8 @@ def _indicator_fitness(objs: np.ndarray):
     e = _pairwise_indicator(_normalize_objs(objs))
     c = np.maximum(e.max(axis=0), -e.min(axis=0))
     c[c == 0.0] = 1.0
-    # in place: (-I) / s and -(I / s) round alike
-    np.divide(e, c * KAPPA, out=e)
-    np.negative(e, out=e)
+    # in place: I / (-s) and -(I / s) round alike
+    np.divide(e, -(c * KAPPA), out=e)
     np.exp(e, out=e)
     np.fill_diagonal(e, 0.0)
     return e.sum(axis=0), e

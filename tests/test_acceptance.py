@@ -11,10 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from chpdispatch import (DispatchVector, EngineConfig, ForPolygon,
-                         NormalizationBounds, evaluate, hv_metric,
-                         hypervolume_2d, load_system, run, spread_delta,
-                         wilcoxon_signed_rank)
+from chpdispatch import (DispatchVector, EngineConfig, ExperimentConfig,
+                         ForPolygon, NormalizationBounds, evaluate, hv_metric,
+                         hypervolume_2d, load_system, run, run_experiment,
+                         spread_delta, wilcoxon_signed_rank)
 from chpdispatch.cli import _write_front_csv
 from chpdispatch.engine import _crowding, _env_select, _fast_nds
 
@@ -24,41 +24,39 @@ from test_model import SWEEPS, _random_dispatch
 SEEDS = range(1, 11)
 
 
-def _paired_runs(name):
-    """10 seeded full-budget runs of both indicator algorithms, timed."""
-    system = load_system(name)
-    pairs = []
-    for seed in SEEDS:
-        t0 = time.perf_counter()
-        fa = run(system, EngineConfig(rng_seed=seed, algorithm="IDBEA"))
-        ta = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        fb = run(system, EngineConfig(rng_seed=seed, algorithm="IBEA"))
-        tb = time.perf_counter() - t0
-        pairs.append((fa, ta, fb, tb))
-    return pairs
+def _paired_runs(name, root):
+    """10 seeded full-budget runs of both indicator algorithms, timed:
+    (IDBEA front, its wall time, IBEA front, its wall time) per seed."""
+    cfg = ExperimentConfig(
+        experiment_id=name, system=name,
+        algorithms=(EngineConfig(algorithm="IDBEA"),
+                    EngineConfig(algorithm="IBEA")),
+        repetitions=len(SEEDS), seed_base=SEEDS[0])
+    recs = {(r.algorithm, r.seed): r
+            for r in run_experiment(cfg, base_dir=root)}
+    return [(recs["IDBEA", s].front, recs["IDBEA", s].wall_time,
+             recs["IBEA", s].front, recs["IBEA", s].wall_time)
+            for s in SEEDS]
 
 
 @pytest.fixture(scope="session")
-def sys2_pairs():
-    return _paired_runs("system2")
+def sys2_pairs(tmp_path_factory):
+    return _paired_runs("system2", tmp_path_factory.mktemp("sys2_pairs"))
 
 
 @pytest.fixture(scope="session")
-def sys3_pairs():
-    return _paired_runs("system3")
+def sys3_pairs(tmp_path_factory):
+    return _paired_runs("system3", tmp_path_factory.mktemp("sys3_pairs"))
 
 
 @pytest.fixture(scope="session")
-def sys1_runs():
-    system = load_system("system1")
-    runs = []
-    for seed in range(1, 31):
-        t0 = time.perf_counter()
-        front = run(system, EngineConfig(rng_seed=seed, algorithm="IDBEA"),
-                    mode="chped")
-        runs.append((front, time.perf_counter() - t0))
-    return system, runs
+def sys1_runs(tmp_path_factory):
+    cfg = ExperimentConfig(
+        experiment_id="system1", system="system1",
+        algorithms=(EngineConfig(algorithm="IDBEA"),), mode="chped",
+        repetitions=30, seed_base=1)
+    records = run_experiment(cfg, base_dir=tmp_path_factory.mktemp("sys1"))
+    return load_system("system1"), [(r.front, r.wall_time) for r in records]
 
 
 def _rel_ok(got, want, rel):

@@ -2,7 +2,10 @@
 execution with persistence, report emission, and the CLI entry point."""
 import csv
 import json
+import multiprocessing
+import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from chpdispatch import (EngineConfig, ExperimentConfig, NormalizationBounds,
                          SystemLoadError, eaf_surfaces, emit_reports,
                          hv_metric, load_experiment, load_system,
                          run_experiment, select_compromise, spread_delta)
-from chpdispatch import cli
+from chpdispatch import cli, constraints
 from chpdispatch.cli import _read_front_csv, main
 from chpdispatch.model import cost_batch, emission_batch, loss_batch
 
@@ -170,6 +173,24 @@ class TestLoadExperiment:
         path = _write_exp(tmp_path, mode="minimize")
         with pytest.raises(SystemLoadError,
                            match="mode must be 'chped' or 'chpeed'"):
+            load_experiment(path)
+
+    @pytest.mark.parametrize("field", [
+        "experiment_id", "system", "mode", "output_dir"])
+    @pytest.mark.parametrize("value", [5, None, ["exp"]])
+    def test_names_must_be_strings(self, tmp_path, field, value):
+        path = _write_exp(tmp_path, **{field: value})
+        with pytest.raises(SystemLoadError,
+                           match=f"{field} must be a string, not "):
+            load_experiment(path)
+
+    @pytest.mark.parametrize("field", ["repetitions", "seed_base"])
+    @pytest.mark.parametrize("value", [2.7, True, "3"])
+    def test_counts_must_be_integers(self, tmp_path, field, value):
+        # int(...) would run 2.7 as 2 and true as 1
+        path = _write_exp(tmp_path, **{field: value})
+        with pytest.raises(SystemLoadError,
+                           match=f"{field} must be an integer, not "):
             load_experiment(path)
 
     def test_defaults_and_parsed_fields(self, tmp_path):
@@ -385,6 +406,104 @@ class TestRunExperiment:
         header = (exp_dir / "IDBEA" / "IDBEA_seed1.csv").read_text() \
             .splitlines()[0]
         assert header == "cost,violation,p1,o1,o2,h1,h2,t1"
+
+
+def _run_with_workers(monkeypatch, n_workers, cfg, root, **kwargs):
+    monkeypatch.setattr(cli, "_workers", lambda n_runs: n_workers)
+    return run_experiment(cfg, base_dir=root, **kwargs)
+
+
+MIXED = ExperimentConfig(
+    experiment_id="mixed", system="system2",
+    algorithms=(EngineConfig(algorithm="IDBEA", **TINY),
+                EngineConfig(algorithm="NSGA2", **TINY)),
+    repetitions=3, seed_base=11)
+
+
+class TestParallelRuns:
+    def test_worker_count_follows_cpu_affinity(self, monkeypatch):
+        usable = len(os.sched_getaffinity(0))
+        assert cli._workers(1) == 1
+        assert cli._workers(10 ** 6) == usable
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert cli._workers(5) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._workers(5) == 3
+        monkeypatch.delattr(os, "fork")
+        assert cli._workers(5) == 1
+
+    def test_files_do_not_depend_on_worker_count(self, monkeypatch, tmp_path):
+        manifests, records = [], []
+        for n in (1, 2):
+            records.append(_run_with_workers(monkeypatch, n, MIXED,
+                                             tmp_path / str(n)))
+            assert multiprocessing.active_children() == []
+            manifest = json.loads(
+                (tmp_path / str(n) / "mixed" / "manifest.json").read_text())
+            for entry in manifest["runs"]:
+                assert entry.pop("wall_time") > 0
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
+        csvs = sorted(p.relative_to(tmp_path / "1")
+                      for p in (tmp_path / "1").rglob("*.csv"))
+        assert len(csvs) == 6
+        for rel in csvs:
+            assert (tmp_path / "1" / rel).read_bytes() == \
+                (tmp_path / "2" / rel).read_bytes()
+        for a, b in zip(*records):
+            assert (a.algorithm, a.seed) == (b.algorithm, b.seed)
+            assert a.front.genes.tobytes() == b.front.genes.tobytes()
+            assert a.front.objectives.tobytes() == b.front.objectives.tobytes()
+
+    def test_progress_and_records_in_task_order(self, monkeypatch, tmp_path):
+        grid = [(alg, seed) for alg in ("IDBEA", "NSGA2")
+                for seed in (11, 12, 13)]
+        seen = []
+        for n in (1, 2):
+            messages = []
+            records = _run_with_workers(monkeypatch, n, MIXED,
+                                        tmp_path / str(n),
+                                        progress=messages.append)
+            assert [(r.algorithm, r.seed) for r in records] == grid
+            assert [m.split(":")[0] for m in messages] == \
+                [f"{alg} seed {seed}" for alg, seed in grid]
+            # all but the trailing wall time
+            seen.append([m.rsplit(",", 1)[0] for m in messages])
+        assert seen[0] == seen[1]
+
+    def test_worker_warnings_reach_the_caller(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(constraints, "LOSS_FIXED_POINT_MAX_ITERS", 1)
+        cfg = ExperimentConfig(
+            experiment_id="warn", system="system3",
+            algorithms=(EngineConfig(algorithm="IDBEA", **TINY),),
+            repetitions=2)
+        texts = []
+        for n in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                _run_with_workers(monkeypatch, n, cfg, tmp_path / str(n))
+            texts.append([str(w.message) for w in caught
+                          if w.category is RuntimeWarning and str(w.message)
+                          .startswith("power balance fixed point")])
+        assert texts[0]
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_failed_run_propagates_and_leaves_no_worker(
+            self, monkeypatch, tmp_path, n_workers):
+        real = cli.engine_run
+
+        def failing(system, ecfg, mode):
+            if ecfg.rng_seed == 12:
+                raise ArithmeticError("seed 12 failed")
+            return real(system, ecfg, mode)
+
+        monkeypatch.setattr(cli, "engine_run", failing)
+        with pytest.raises(ArithmeticError, match="seed 12 failed"):
+            _run_with_workers(monkeypatch, n_workers, MIXED, tmp_path)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "mixed" / "manifest.json").exists()
 
 
 class TestEmitReports:
