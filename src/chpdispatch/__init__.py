@@ -1,7 +1,7 @@
 """Combined heat and power dispatch optimization toolkit."""
 
 from .constraints import repair_batch
-from .engine import EngineConfig, FrontArchive, dominates, run
+from .engine import EngineConfig, FrontArchive, run
 from .geometry import ForPolygon
 from .metrics import (NormalizationBounds, eaf_surfaces, hv_metric,
                       hypervolume_2d, spread_delta, wilcoxon_signed_rank)
@@ -9,7 +9,7 @@ from .model import (CogenUnit, DispatchVector, Evaluation, HeatOnlyUnit,
                     LossModel, PowerOnlyUnit, SystemDefinition,
                     SystemLoadError, evaluate, load_system)
 from .cli import (ExperimentConfig, RunRecord, emit_reports, load_experiment,
-                  run_experiment, select_compromise)
+                  run_experiment)
 
 __version__ = "0.1.0"
 
@@ -17,8 +17,8 @@ __all__ = [
     "CogenUnit", "DispatchVector", "EngineConfig", "Evaluation",
     "ExperimentConfig", "ForPolygon", "FrontArchive", "HeatOnlyUnit",
     "LossModel", "NormalizationBounds", "PowerOnlyUnit", "RunRecord",
-    "SystemDefinition", "SystemLoadError", "dominates", "eaf_surfaces",
-    "emit_reports", "evaluate", "hv_metric", "hypervolume_2d",
-    "load_experiment", "load_system", "repair_batch", "run", "run_experiment",
-    "select_compromise", "spread_delta", "wilcoxon_signed_rank",
+    "SystemDefinition", "SystemLoadError", "eaf_surfaces", "emit_reports",
+    "evaluate", "hv_metric", "hypervolume_2d", "load_experiment",
+    "load_system", "repair_batch", "run", "run_experiment", "spread_delta",
+    "wilcoxon_signed_rank",
 ]

@@ -18,7 +18,6 @@ the metrics.csv and compare.csv rows that `report` writes.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -150,15 +149,6 @@ def _compromise_index(objectives: np.ndarray) -> int:
     return int(candidates[order[0]])
 
 
-def select_compromise(front) -> tuple:
-    """The front member minimizing its worst normalized objective; ties
-    break toward the lowest cost."""
-    objs = np.atleast_2d(np.asarray(getattr(front, "objectives", front), float))
-    if objs.shape[0] == 0:
-        raise ValueError("compromise selection needs a non-empty front")
-    return tuple(objs[_compromise_index(objs)])
-
-
 # ---------------------------------------------------------------------------
 # Persistence.
 # ---------------------------------------------------------------------------
@@ -186,8 +176,7 @@ def _cell(value) -> str:
 
 
 def _table(header, rows) -> str:
-    """CSV text of a header and rows. Pass rows of Python floats
-    (``ndarray.tolist()``) where tables are large: that is the fast path."""
+    """CSV text of a header and rows of mixed cells (see _cell)."""
     lines = [",".join(header)]
     lines += [",".join(map(_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
@@ -200,6 +189,29 @@ def _write_table(path: Path, header, rows) -> str:
     return text
 
 
+def _float_tables(header, arrays):
+    """Yield the CSV text of a header over each of several 2-D float arrays
+    in turn, the cells as _cell writes them. Each distinct value of all
+    the arrays is formatted once: values are keyed by their bit pattern,
+    so 0.0 and -0.0 keep their own text."""
+    flat = np.concatenate([np.asarray(a, float).ravel() for a in arrays])
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(float.__repr__, bits.view(float).tolist())),
+                    dtype=object)
+    head = ",".join(header) + "\n"
+    start = 0
+    for a in arrays:
+        rows, width = np.shape(a)
+        # cells and separators interleaved, joined in one call
+        grid = np.empty((rows, 2 * width), dtype=object)
+        grid[:, 0::2] = text[inverse[start:start + rows * width]].reshape(
+            rows, width)
+        grid[:, 1::2] = ","
+        grid[:, -1] = "\n"
+        start += rows * width
+        yield head + "".join(grid.ravel().tolist())
+
+
 def _write_front_csv(path: Path, front: FrontArchive,
                      system: SystemDefinition) -> None:
     """Front rows sorted by objectives, then genes (the violation column is
@@ -209,15 +221,58 @@ def _write_front_csv(path: Path, front: FrontArchive,
     header += _gene_columns(system.n_power, system.n_cogen, system.n_heat)
     data = np.column_stack([front.objectives, front.violations, front.genes])
     order = np.lexsort(np.delete(data, n_obj, axis=1).T[::-1])
-    _write_table(path, header, data[order].tolist())
+    _atomic_write(path, next(_float_tables(header, [data[order]])))
+
+
+def _front_rows(path: Path, lines: list[str], width: int) -> np.ndarray:
+    """(rows, width) array of a front file's body lines (the lines after
+    the header), empty lines skipped, one parse for the whole body. A
+    malformed body is refused with the file and the line of its first bad
+    row: a row whose field count is not the header's, or that holds a cell
+    that is not a number (a '#' line included)."""
+    rows = [line for line in lines if line != "\n"]
+    if not rows:
+        return np.empty((0, width))
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        data = None
+    if data is not None and data.shape[1] == width:
+        return data
+    for lineno, line in enumerate(lines, start=2):
+        if line == "\n":
+            continue
+        cells = line.rstrip("\n").split(",")
+        if len(cells) != width:
+            why = f"{len(cells)} fields where the header has {width}"
+        else:
+            bad = next((c for c in cells if not _is_number(c)), None)
+            if bad is None:
+                continue
+            why = f"{bad!r} is not a number"
+        raise SystemLoadError(
+            f"malformed front file {path}, line {lineno}: {why}")
+    raise SystemLoadError(f"malformed front file {path}")
+
+
+def _is_number(cell: str) -> bool:
+    """Whether the front parser reads cell as one float."""
+    if not cell.strip():
+        return False
+    try:
+        np.loadtxt([cell], delimiter=",", comments=None)
+    except ValueError:
+        return False
+    return True
 
 
 def _read_front_csv(path: Path, algorithm: str, seed: int) -> FrontArchive:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    data = np.array(rows, float) if rows else np.empty((0, len(header)))
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        lines = fh.readlines()
+    if header == [""]:
+        raise SystemLoadError(f"front file {path} has no header")
+    data = _front_rows(path, lines, len(header))
     n_obj = 2 if "emission" in header else 1
     return FrontArchive(
         genes=data[:, n_obj + 1:],
@@ -526,10 +581,13 @@ def _write_eaf(exp_dir: Path, fronts, levels) -> list[Path]:
             continue
         runs = [fronts[alg][s] for s in sorted(fronts[alg])]
         surfaces = eaf_surfaces(runs, levels)
-        for level in sorted(surfaces):
+        order = sorted(surfaces)
+        texts = _float_tables(("cost", "emission"),
+                              [surfaces[level] for level in order])
+        for level, text in zip(order, texts):
             tag = str(int(level)) if float(level).is_integer() else repr(level)
             path = exp_dir / f"eaf_{alg}_{tag}.csv"
-            _write_table(path, ("cost", "emission"), surfaces[level].tolist())
+            _atomic_write(path, text)
             written.append(path)
     return written
 

@@ -100,22 +100,6 @@ def _effective_violation(v):
     return np.where(np.asarray(v, float) <= FEASIBILITY_TOL, 0.0, v)
 
 
-def dominates(a, b, violation_a: float = 0.0, violation_b: float = 0.0) -> bool:
-    """Constraint-aware Pareto dominance, minimization on all axes.
-
-    A lower (effective) violation dominates outright; at equal violation,
-    componentwise <= with at least one strict <.
-    """
-    av = np.asarray(a, float).ravel()
-    bv = np.asarray(b, float).ravel()
-    if av.shape != bv.shape:
-        raise ValueError(f"objective dimensions differ: {av.shape} vs {bv.shape}")
-    va, vb = _effective_violation([violation_a, violation_b])
-    if va != vb:
-        return bool(va < vb)
-    return bool((av <= bv).all() and (av < bv).any())
-
-
 # ---------------------------------------------------------------------------
 # Indicator fitness.
 # ---------------------------------------------------------------------------
@@ -152,8 +136,8 @@ def _pairwise_indicator(nobjs: np.ndarray, ref: float = 1.1) -> np.ndarray:
     return overlap
 
 
-def _indicator_fitness(objs: np.ndarray):
-    """Fitness vector F and contribution matrix E.
+def _indicator_fitness(objs: np.ndarray) -> np.ndarray:
+    """Contribution matrix E; the fitness F is its column sum.
 
     E[j, i] = exp(-I[j, i] / (c_i * KAPPA)) where c_i is the largest
     absolute indicator value against individual i, so each individual's
@@ -169,7 +153,7 @@ def _indicator_fitness(objs: np.ndarray):
     np.divide(e, -(c * KAPPA), out=e)
     np.exp(e, out=e)
     np.fill_diagonal(e, 0.0)
-    return e.sum(axis=0), e
+    return e
 
 
 def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int):
@@ -204,7 +188,7 @@ def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int):
     infeasible row is alive.
     """
     n = objs.shape[0]
-    _, e = _indicator_fitness(objs)
+    e = _indicator_fitness(objs)
     run = np.cumsum(e, axis=0)
     fit = run[-1].copy()
     err = np.maximum(run[:-1], e[1:])
@@ -417,7 +401,7 @@ def _indicator_select(objs: np.ndarray, viol: np.ndarray, ecfg: EngineConfig):
     if objs.shape[0] > n_pool:
         alive, fit, _ = _env_select(objs, viol, n_pool)
     else:
-        fit, _ = _indicator_fitness(objs)
+        fit = _indicator_fitness(objs).sum(axis=0)
         alive = np.arange(objs.shape[0])
     if alive.shape[0] > n:
         alive = alive[_crowding_truncate(objs[alive], viol[alive], n)]

@@ -8,12 +8,9 @@ chords (the feasible interval of one coordinate at each of a column of
 values of the other), and Euclidean projection of points onto the region;
 only the points outside are projected. RegionTable holds the edges of
 several regions in one padded table, so one chord query answers a block of
-values for all of them; a polygon's own chord_bounds is its one-region
-case.
+values for all of them (one region's chords are its one-column case).
 """
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -79,20 +76,6 @@ class ForPolygon:
         rel_h = q[:, None, 1] - self._v[None, :, 1]
         cross = self._edges[None, :, 0] * rel_h - self._edges[None, :, 1] * rel_p
         return np.all(cross >= -tol * self._lengths[None, :], axis=1)
-
-    # -- chords -------------------------------------------------------------
-
-    @cached_property
-    def _table(self) -> "RegionTable":
-        return RegionTable([self._v])
-
-    def chord_bounds(self, values, axis: int):
-        """Chord of the polygon along lines where coordinate `axis` (0 power,
-        1 heat) is fixed at each of `values`: (lo, hi, hit) arrays over the
-        other coordinate. The one-region case of RegionTable.chord_bounds."""
-        lo, hi, hit = self._table.chord_bounds(
-            np.asarray(values, float)[:, None], axis)
-        return lo[:, 0], hi[:, 0], hit[:, 0]
 
     # -- projection ---------------------------------------------------------
 

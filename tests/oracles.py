@@ -260,6 +260,26 @@ def hypervolume_mc(points, ref, n_samples=10_000_000, seed=1234):
     return box * hits / n_samples
 
 
+def hypervolume_sweep_loop(points, ref=(1.1, 1.1)):
+    """Exact 2-D hypervolume, one point at a time: sort by the first
+    objective, then the second, and add a strip (rx - x) * (prev_y - y)
+    for each point below the staircase so far, left to right."""
+    pts = np.asarray(points, float)
+    if pts.size == 0:
+        return 0.0
+    pts = np.atleast_2d(pts)
+    rx, ry = float(ref[0]), float(ref[1])
+    pts = pts[(pts[:, 0] < rx) & (pts[:, 1] < ry)]
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    area = 0.0
+    prev_y = ry
+    for x, y in pts[order]:
+        if y < prev_y:
+            area += (rx - x) * (prev_y - y)
+            prev_y = y
+    return area
+
+
 # ---------------------------------------------------------------------------
 # Pareto dominance and sorting, O(n^2), straight from the definition.
 # ---------------------------------------------------------------------------
@@ -268,6 +288,27 @@ def dominates_bruteforce(a, b):
     a = list(a)
     b = list(b)
     return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
+
+
+# a violation at or below this counts as zero (the engine's FEASIBILITY_TOL)
+FEASIBILITY_TOL = 1e-9
+
+
+def dominates(a, b, violation_a=0.0, violation_b=0.0):
+    """Constraint-aware Pareto dominance, minimization on all axes.
+
+    A lower (effective) violation dominates outright; at equal violation,
+    componentwise <= with at least one strict <.
+    """
+    a = [float(x) for x in np.ravel(a)]
+    b = [float(x) for x in np.ravel(b)]
+    if len(a) != len(b):
+        raise ValueError(f"objective dimensions differ: {len(a)} vs {len(b)}")
+    va = 0.0 if violation_a <= FEASIBILITY_TOL else violation_a
+    vb = 0.0 if violation_b <= FEASIBILITY_TOL else violation_b
+    if va != vb:
+        return va < vb
+    return dominates_bruteforce(a, b)
 
 
 def nondominated_fronts_bruteforce(objectives):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from chpdispatch import (
     EngineConfig,
     FrontArchive,
-    dominates,
     hypervolume_2d,
     load_system,
     run,
@@ -34,6 +33,7 @@ from chpdispatch.engine import (
 )
 
 import oracles
+from oracles import dominates
 
 _DYADIC = st.integers(0, 336).map(lambda k: k / 256)
 
@@ -193,6 +193,19 @@ class TestDominates:
             assert dominates(a, b) == oracles.dominates_bruteforce(a, b)
 
 
+@st.composite
+def _hv_points(draw):
+    """2-D point sets: scattered points, or a staircase of up to 40 mutually
+    non-dominated points (many strips) with scattered points mixed in."""
+    coord = st.floats(-0.5, 1.5) | _DYADIC
+    pts = draw(st.lists(st.tuples(coord, coord), max_size=25))
+    if draw(st.booleans()):
+        xs = draw(st.lists(coord, min_size=1, max_size=40))
+        ys = draw(st.lists(coord, min_size=len(xs), max_size=len(xs)))
+        pts += list(zip(sorted(xs), sorted(ys, reverse=True)))
+    return pts
+
+
 class TestHypervolume:
     def test_single_point_at_origin(self):
         assert hypervolume_2d([(0.0, 0.0)]) == pytest.approx(1.21, rel=1e-12)
@@ -237,6 +250,20 @@ class TestHypervolume:
         ref = (1.25, 1.25)
         assert hypervolume_2d(pts + [extra], ref) >= hypervolume_2d(pts, ref)
 
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=500)
+    @given(pts=_hv_points(),
+           ref=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)))
+    def test_matches_loop_oracle_exactly(self, pts, ref):
+        # the accumulate sweep adds the same strips in the same order as
+        # the one-point-at-a-time loop, so the sums agree in every bit (a
+        # pairwise sum of a long staircase would not); ties, duplicates and
+        # points on or past the reference included
+        got = hypervolume_2d(pts, ref)
+        want = oracles.hypervolume_sweep_loop(pts, ref)
+        assert got == want
+        assert type(got) is float
+
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(77)
         for size in (1, 5, 20):
@@ -276,21 +303,22 @@ class TestIndicator:
 class TestFitness:
     def test_identical_individuals_equal_fitness(self):
         objs = np.array([(0.4, 0.6), (0.4, 0.6), (0.4, 0.6), (0.1, 0.9)])
-        fit, _ = _indicator_fitness(objs)
+        fit = _indicator_fitness(objs).sum(axis=0)
         assert fit[0] == pytest.approx(fit[1], rel=1e-12)
         assert fit[1] == pytest.approx(fit[2], rel=1e-12)
 
     def test_dominated_by_both_has_largest_fitness(self):
-        fit, _ = _indicator_fitness(
-            np.array([(0.2, 0.3), (0.3, 0.2), (0.8, 0.9)]))
+        fit = _indicator_fitness(
+            np.array([(0.2, 0.3), (0.3, 0.2), (0.8, 0.9)])).sum(axis=0)
         assert np.argmax(fit) == 2
 
     def test_invariant_under_affine_rescaling(self):
         rng = np.random.default_rng(31)
         objs = rng.random((25, 2))
-        base, _ = _indicator_fitness(objs)
-        scaled, _ = _indicator_fitness(
-            objs * np.array([3.5e3, 0.02]) + np.array([100.0, 7.0]))
+        base = _indicator_fitness(objs).sum(axis=0)
+        scaled = _indicator_fitness(
+            objs * np.array([3.5e3, 0.02]) + np.array([100.0, 7.0])
+        ).sum(axis=0)
         for a, b in zip(base, scaled):
             assert a == pytest.approx(b, rel=1e-9)
 
@@ -299,7 +327,7 @@ class TestFitness:
         for _ in range(40):
             n = int(rng.integers(2, 26))
             objs = rng.random((n, 2))
-            got, _ = _indicator_fitness(objs)
+            got = _indicator_fitness(objs).sum(axis=0)
             want = oracles.fitness_bruteforce(objs)
             # exp terms reach ~1e8, so the comparison has to be relative
             assert np.allclose(got, want, rtol=1e-9)
@@ -403,7 +431,7 @@ class TestEnvironmentalSelection:
         # step and searches the alive rows with flatnonzero every removal
         objs, viol, n_keep = pool
         alive, fit, removed = _env_select(objs, viol, n_keep)
-        _, e = _indicator_fitness(objs)
+        e = _indicator_fitness(objs)
         want_alive, want_fit, want_removed = oracles.env_select_neumaier(
             e, _effective_violation(viol), n_keep)
         assert alive.tolist() == want_alive.tolist()
@@ -522,7 +550,7 @@ class TestCostSort:
             want, fit, _ = _env_select(objs, viol, n_keep)
         else:
             want = np.arange(objs.shape[0])
-            fit, _ = _indicator_fitness(objs)
+            fit = _indicator_fitness(objs).sum(axis=0)
         assert alive.tolist() == want.tolist()
         veff = _effective_violation(viol[alive])
         assert np.array_equal(primary, veff)
@@ -553,7 +581,7 @@ class TestCostSort:
         # than one unit in the last place, so _env_select sees a tie and
         # removes the first, row 0, where the sort removes the costlier
         objs = np.array([[0.999999999], [-1e-9], [0.0], [-1e-9], [1.0]])
-        fit, _ = _indicator_fitness(objs)
+        fit = _indicator_fitness(objs).sum(axis=0)
         assert fit[0] == fit[4]
         assert _env_select(objs, np.zeros(5), 4)[0].tolist() \
             == [1, 2, 3, 4]
@@ -730,8 +758,8 @@ class TestTournament:
             == [0, 0, 2, 2, 3, 2]
 
     def test_seeded_determinism(self):
-        fitness, _ = _indicator_fitness(
-            np.random.default_rng(8).random((10, 2)))
+        fitness = _indicator_fitness(
+            np.random.default_rng(8).random((10, 2))).sum(axis=0)
         veff = np.zeros(10)
         first = _tournament(veff, fitness, 10, np.random.default_rng(99))
         rng_a = np.random.default_rng(99)

@@ -23,6 +23,15 @@ REGIONS = [np.asarray(v, float) for v in ALL_SHAPES] + [
     u.region.vertices for name in ("system1", "system2", "system3")
     for u in load_system(name).cogen_units]
 
+
+def _chords(verts, values, axis):
+    """(lo, hi, hit) chords of one region: the one-column case of a
+    RegionTable query."""
+    lo, hi, hit = RegionTable([np.asarray(verts, float)]).chord_bounds(
+        np.asarray(values, float)[:, None], axis)
+    return lo[:, 0], hi[:, 0], hit[:, 0]
+
+
 # Derandomized, so every run of the suite draws the same examples.
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=200)
@@ -100,21 +109,20 @@ class TestContainment:
 class TestLineBounds:
     def test_power_bounds_known_value(self):
         # at 75 MWth the pentagon is cut between its two upper edges
-        lo, hi, hit = ForPolygon(PENTA).chord_bounds([75.0], axis=1)
+        lo, hi, hit = _chords(PENTA, [75.0], axis=1)
         assert hit[0]
         assert lo[0] == pytest.approx(40.0, abs=1e-12)
         assert hi[0] == pytest.approx(119.36046511627907, abs=1e-9)
 
     def test_heat_bounds_at_extreme_power(self):
-        lo, hi, hit = ForPolygon(PENTA).chord_bounds([125.8], axis=0)
+        lo, hi, hit = _chords(PENTA, [125.8], axis=0)
         assert hit[0]
         assert lo[0] == pytest.approx(0.0, abs=1e-9)
         assert hi[0] == pytest.approx(32.4, abs=1e-9)
 
     def test_out_of_range_is_none(self):
-        poly = ForPolygon(PENTA)
-        assert not poly.chord_bounds([140.0], axis=1)[2][0]
-        assert not poly.chord_bounds([30.0], axis=0)[2][0]
+        assert not _chords(PENTA, [140.0], axis=1)[2][0]
+        assert not _chords(PENTA, [30.0], axis=0)[2][0]
 
     def test_bounds_bracket_membership(self):
         # sweep heat levels: every bound pair must itself lie in the region
@@ -123,7 +131,7 @@ class TestLineBounds:
             poly = ForPolygon(verts)
             h_lo, h_hi = poly.heat_range
             h = rng.uniform(h_lo, h_hi, size=40)
-            lo, hi, hit = poly.chord_bounds(h, axis=1)
+            lo, hi, hit = _chords(verts, h, axis=1)
             assert hit.all()
             assert np.all(lo <= hi)
             for p in (lo, hi, 0.5 * (lo + hi)):
@@ -193,7 +201,7 @@ class TestChordOracle:
     @given(_chord_queries())
     def test_chord_bounds_match_halfplane_oracle(self, query):
         verts, axis, values, n_inside = query
-        lo, hi, hit = ForPolygon(verts).chord_bounds(np.array(values), axis)
+        lo, hi, hit = _chords(verts, values, axis)
         for k, value in enumerate(values):
             want = polygon_chord_halfplanes(verts, value, axis)
             if k < n_inside:
@@ -288,12 +296,12 @@ class TestRegionTable:
     @PROPERTY
     @given(_table_queries())
     def test_table_equals_each_region_alone(self, query):
-        # bit for bit, against each region's own chord_bounds and against
-        # the edge-by-edge chords of a single polygon
+        # bit for bit, against each region's own one-column table and
+        # against the edge-by-edge chords of a single polygon
         regions, axis, values = query
         got = RegionTable(regions).chord_bounds(values, axis)
         for u, v in enumerate(regions):
-            alone = ForPolygon(v).chord_bounds(values[:, u], axis)
+            alone = _chords(v, values[:, u], axis)
             edges = polygon_chord_edges(v, values[:, u], axis)
             for column, want, old in zip(got, alone, edges):
                 assert np.array_equal(column[:, u], want)
@@ -309,7 +317,7 @@ class TestRegionTable:
                                 for u in system.cogen_units]).T
             got = table.chord_bounds(values, axis)
             for j, u in enumerate(system.cogen_units):
-                want = u.region.chord_bounds(values[:, j], axis)
+                want = _chords(u.region.vertices, values[:, j], axis)
                 for column, w in zip(got, want):
                     assert np.array_equal(column[:, j], w)
 

@@ -61,15 +61,16 @@ PUBLIC_NAMES = [
     "CogenUnit", "DispatchVector", "EngineConfig", "Evaluation",
     "ExperimentConfig", "ForPolygon", "FrontArchive", "HeatOnlyUnit",
     "LossModel", "NormalizationBounds", "PowerOnlyUnit", "RunRecord",
-    "SystemDefinition", "SystemLoadError", "dominates", "eaf_surfaces",
-    "emit_reports", "evaluate", "hv_metric", "hypervolume_2d",
-    "load_experiment", "load_system", "repair_batch", "run", "run_experiment",
-    "select_compromise", "spread_delta", "wilcoxon_signed_rank",
+    "SystemDefinition", "SystemLoadError", "eaf_surfaces", "emit_reports",
+    "evaluate", "hv_metric", "hypervolume_2d", "load_experiment",
+    "load_system", "repair_batch", "run", "run_experiment", "spread_delta",
+    "wilcoxon_signed_rank",
 ]
 
 
 def test_public_surface():
     assert sorted(chpdispatch.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 26
     for name in PUBLIC_NAMES:
         assert getattr(chpdispatch, name) is not None
 
