@@ -24,12 +24,12 @@ and for cogeneration units the feasible interval of the moved coordinate
 at the fixed value of the other one, found for all cogeneration units in
 one query of the system's region table (SystemDefinition.region_table).
 A single-coordinate move inside that interval cannot leave the convex
-operating region, so redistribution never undoes the projection step,
-and a repaired row's cogeneration points are inside their regions: the
-capacity term of the violation then finds nothing to project. Whatever
-residual survives every room is reported as the row's constraint
-violation: balance residuals plus capacity excess. Selection compares
-raw objectives and treats that violation as a separate layer (lower
+operating region, so redistribution never undoes the projection step;
+a last clip into the gene box takes back the round-off of its moves.
+So a repaired row is inside its box and regions (within BOUNDARY_TOL)
+by construction, and its constraint violation is what no room absorbed:
+the absolute power and heat residuals. Selection compares raw
+objectives and treats that violation as a separate layer (lower
 violation wins first); no weighted penalty is added to either objective.
 A cost or emission that is not finite is refused with a ValueError."""
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemDefinition, capacity_violation_batch, cost_batch, \
+from .model import SystemDefinition, balance_residuals_batch, cost_batch, \
     emission_batch, loss_batch, loss_in_power_output
 
 LOSS_FIXED_POINT_TOL = 1e-12
@@ -68,12 +68,12 @@ def _chord_room(system, moved, fixed, rows, upward, heat):
     """Room of each cogen unit's moved coordinate (heat when `heat`, else
     power) along the chord of its region at the current value of the
     fixed coordinate, clamped into the gene bounds of that coordinate, the
-    region's range (so every chord is hit). One chord query covers all
-    units."""
+    region's range (so every chord is met: lo <= hi). One chord query
+    covers all units."""
     lower, upper = system.gene_bounds()
     first = system.n_power + (0 if heat else system.n_cogen)
     cols = slice(first, first + system.n_cogen)
-    b_lo, b_hi, _ = system.region_table.chord_bounds(
+    b_lo, b_hi = system.region_table.chord_bounds(
         np.clip(fixed[rows], lower[cols], upper[cols]), axis=0 if heat else 1)
     room = b_hi - moved[rows] if upward else moved[rows] - b_lo
     return np.clip(room, 0.0, None)
@@ -196,19 +196,15 @@ def _close_power_balance(p, o, h, system, pk):
 
 
 def repair_batch(genes: np.ndarray, system: SystemDefinition) -> np.ndarray:
-    """Repair an (M, n_genes) array row by row: each row's result is the
-    same whichever rows share its batch. Returns a new array."""
+    """Repair an (M, n_genes) array into its box and regions, row by row
+    (a row's result never depends on its batch). Returns a new array."""
     lower, upper = system.gene_bounds()
     g = np.clip(np.atleast_2d(np.asarray(genes, float)), lower, upper)
     p, o, h, t = system.split_genes(g)
 
     for j, u in enumerate(system.cogen_units):
-        pts = np.column_stack([o[:, j], h[:, j]])
-        proj, dist = u.region.project_many(pts)
-        outside = dist > 0
-        if np.any(outside):
-            o[outside, j] = proj[outside, 0]
-            h[outside, j] = proj[outside, 1]
+        proj, _ = u.region.project_many(np.column_stack([o[:, j], h[:, j]]))
+        o[:, j], h[:, j] = proj.T  # points inside project to themselves
 
     pk, hk = resolve_slack_units(system)
 
@@ -226,18 +222,15 @@ def repair_batch(genes: np.ndarray, system: SystemDefinition) -> np.ndarray:
         return np.abs(g - before).max(axis=1)
 
     _until_settled([heat_then_power] * 4, (g,), 1e-12)
-    return g
+    return np.clip(g, lower, upper, out=g)
 
 
 @dataclass(frozen=True, eq=False)
 class PopulationEval:
-    """Evaluation of a gene batch after repair.
-
-    genes are the repaired dispatches and cost/emission their
-    raw objective values. violation is the absolute power and heat balance
-    residuals plus the capacity excess; the engines compare it as a layer
-    ahead of the objectives, so nothing is folded into cost or emission.
-    """
+    """Evaluation of a gene batch after repair: the repaired genes, their
+    raw cost and emission, and violation, the absolute power plus heat
+    balance residual, which the engines compare as a layer ahead of the
+    objectives (nothing is folded into cost or emission)."""
     genes: np.ndarray
     cost: np.ndarray
     emission: np.ndarray
@@ -257,10 +250,7 @@ def evaluate_batch(genes: np.ndarray,
             raise ValueError(f"{name} is not finite in {bad} of {len(values)} "
                              "row(s): the system's objective coefficients "
                              "overflow inside its operating range")
-    p_res = p.sum(axis=1) + o.sum(axis=1) - system.power_demand \
-        - loss_batch(p, o, system)
-    h_res = h.sum(axis=1) + t.sum(axis=1) - system.heat_demand
-    violation = np.abs(p_res) + np.abs(h_res) \
-        + capacity_violation_batch(p, o, h, t, system)
+    p_res, h_res = balance_residuals_batch(p, o, h, t,
+                                           loss_batch(p, o, system), system)
     return PopulationEval(genes=g, cost=cost, emission=emission,
-                          violation=violation)
+                          violation=np.abs(p_res) + np.abs(h_res))

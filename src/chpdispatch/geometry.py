@@ -142,11 +142,11 @@ class RegionTable:
     def chord_bounds(self, values, axis: int):
         """Chords of every region along lines where coordinate `axis` (0
         power, 1 heat) is fixed: values is an (R, regions) array and the
-        result (lo, hi, hit) has its shape, over the other coordinate. An
-        edge whose `axis` span, widened by BOUNDARY_TOL, holds a value meets
-        its line at the clamped interpolation point; an edge flat along
-        `axis` contributes both of its ends. Where no edge meets the line,
-        hit is False, lo is +inf and hi is -inf."""
+        result (lo, hi) has its shape, over the other coordinate. An edge
+        whose `axis` span, widened by BOUNDARY_TOL, holds a value meets its
+        line at the clamped interpolation point; an edge flat along `axis`
+        contributes both of its ends. Where no edge meets the line, lo is
+        +inf and hi is -inf, so a line is met exactly where lo <= hi."""
         meet_lo, meet_hi, start, step, o_start, o_step, flat, o_lo, o_hi = \
             self._axes[axis]
         x = values[None]
@@ -156,4 +156,4 @@ class RegionTable:
         lo = np.where(flat, o_lo, cut)
         hi = np.where(flat, o_hi, cut)
         return (np.where(meets, lo, np.inf).min(axis=0),
-                np.where(meets, hi, -np.inf).max(axis=0), meets.any(axis=0))
+                np.where(meets, hi, -np.inf).max(axis=0))

@@ -371,6 +371,12 @@ def loss_in_power_output(p, o, system: SystemDefinition, k: int):
     return w[k, k], b, c
 
 
+def balance_residuals_batch(p, o, h, t, loss, system: SystemDefinition):
+    """(power, heat) balance residuals per row, given each row's loss."""
+    return (p.sum(axis=1) + o.sum(axis=1) - system.power_demand - loss,
+            h.sum(axis=1) + t.sum(axis=1) - system.heat_demand)
+
+
 def capacity_violation_batch(p, o, h, t, system: SystemDefinition) -> np.ndarray:
     total = np.zeros(p.shape[0] if p.ndim == 2 else o.shape[0])
     for j, u in enumerate(system.power_units):
@@ -387,19 +393,20 @@ def capacity_violation_batch(p, o, h, t, system: SystemDefinition) -> np.ndarray
 
 def evaluate(x: DispatchVector, system: SystemDefinition) -> Evaluation:
     """Objectives, loss, balance residuals and capacity violation of one
-    dispatch, from the batch functions on a one-row batch."""
+    unrepaired dispatch, from the batch functions on a one-row batch."""
     dims = (len(x.p), len(x.o), len(x.h), len(x.t))
     want = (system.n_power, system.n_cogen, system.n_cogen, system.n_heat)
     if dims != want:
         raise ValueError(f"dispatch dimensions {dims} do not match system {want}")
     p, o, h, t = x.p[None, :], x.o[None, :], x.h[None, :], x.t[None, :]
-    loss = float(loss_batch(p, o, system)[0])
+    loss = loss_batch(p, o, system)
+    p_res, h_res = balance_residuals_batch(p, o, h, t, loss, system)
     return Evaluation(
         cost=float(cost_batch(p, o, h, t, system)[0]),
         emission=float(emission_batch(p, o, h, t, system)[0]),
-        loss=loss,
-        power_residual=float(x.p.sum() + x.o.sum() - system.power_demand - loss),
-        heat_residual=float(x.h.sum() + x.t.sum() - system.heat_demand),
+        loss=float(loss[0]),
+        power_residual=float(p_res[0]),
+        heat_residual=float(h_res[0]),
         capacity_violation=float(capacity_violation_batch(p, o, h, t, system)[0]),
     )
 

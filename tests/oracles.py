@@ -4,11 +4,14 @@ Everything in this module is written from first principles against the
 benchmark coefficient tables and textbook definitions, on purpose without
 importing anything from chpdispatch. Slow and obvious beats fast and clever
 here: these are the oracles the real implementations must agree with.
+The random convex regions of the property tests (random_region) are
+drawn here too, so the geometry and the repair tests share one strategy.
 """
 import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +235,31 @@ def polygon_project_every_row(vertices, points, inside):
     proj[inside] = q[inside]
     dist[inside] = 0.0
     return proj, dist
+
+
+# A strictly convex octagon with two edges flat along each axis: any three
+# to six of its vertices, in order, bound a convex counter-clockwise region.
+OCTAGON = np.array([(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2),
+                    (0, 1)], float)
+
+
+@st.composite
+def random_region(draw):
+    """Hypothesis strategy: the vertices of a convex region with 3 to 6
+    vertices, scaled and shifted: either some of the octagon's vertices
+    (with axis-flat edges) or points at distinct multiples of 10 degrees on
+    a circle."""
+    n = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        unit = OCTAGON[sorted(draw(st.lists(st.integers(0, 7), min_size=n,
+                                            max_size=n, unique=True)))]
+    else:
+        angles = np.radians(10.0 * np.sort(draw(st.lists(
+            st.integers(0, 35), min_size=n, max_size=n, unique=True))))
+        unit = np.column_stack([np.cos(angles), np.sin(angles)])
+    scale = np.array([draw(st.floats(0.5, 200.0)), draw(st.floats(0.5, 200.0))])
+    shift = np.array([draw(st.floats(0.0, 300.0)), draw(st.floats(0.0, 300.0))])
+    return unit * scale + shift
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chpdispatch import (
     DispatchVector,
+    ForPolygon,
     evaluate,
     load_system,
     repair_batch,
@@ -220,10 +221,11 @@ class TestPenalty:
         assert emission == ev.emission
 
     def test_linear_penalty_composition(self, tmp_path):
-        # on rows repair cannot close, the residuals and the capacity
-        # excess add up linearly into the violation; the objectives stay
-        # the raw ones, since selection compares the violation as a
-        # separate layer instead of adding it to cost or emission
+        # on rows repair cannot close, the residuals add up linearly into
+        # the violation; the capacity term evaluate reports is exactly 0 on
+        # a repaired row, so it adds nothing. The objectives stay the raw
+        # ones, since selection compares the violation as a separate layer
+        # instead of adding it to cost or emission
         for system, row in ((_tiny_system(tmp_path), [0.0, 0.0]),
                             (load_system("system1"), EXCESS_HEAT_ROW)):
             ev = evaluate_batch(np.array([row]), system)
@@ -319,6 +321,17 @@ def _rows_around_box(system, max_rows):
     return batches()
 
 
+def _assert_inside_box_and_regions(system, r):
+    """Repaired rows r are inside the gene box exactly, their cogeneration
+    points inside their regions, and their capacity term exactly 0."""
+    lower, upper = system.gene_bounds()
+    assert np.all((lower <= r) & (r <= upper))
+    p, o, h, t = system.split_genes(r)
+    for j, u in enumerate(system.cogen_units):
+        assert u.region.contains_many(np.column_stack([o[:, j], h[:, j]])).all()
+    assert np.all(capacity_violation_batch(p, o, h, t, system) == 0.0)
+
+
 class TestPerRowRepair:
     """A row's repair depends on that row alone, not on its batch."""
 
@@ -378,16 +391,35 @@ class TestPerRowRepair:
 
     @pytest.mark.parametrize("name", ["system1", "system2", "system3"])
     def test_repaired_cogen_points_are_inside_their_regions(self, name):
-        # so the capacity term's projection finds no row to project
+        # evaluate_batch scores the balance residuals alone: repair must
+        # leave no capacity excess for it to miss
         system = load_system(name)
 
         @PROPERTY
         @given(_rows_around_box(system, 100))
         def check(g):
-            _, o, h, _ = system.split_genes(repair_batch(g, system))
-            for j, u in enumerate(system.cogen_units):
-                assert u.region.contains_many(
-                    np.column_stack([o[:, j], h[:, j]])).all()
+            _assert_inside_box_and_regions(system, repair_batch(g, system))
+
+        check()
+
+    def test_repaired_points_are_inside_random_regions(self):
+        # system2 with its three regions replaced by random convex ones,
+        # whose chord moves round past a box bound without the last clip
+        s2 = load_system("system2")
+
+        @st.composite
+        def cases(draw):
+            units = tuple(dataclasses.replace(
+                u, region=ForPolygon(draw(oracles.random_region())))
+                for u in s2.cogen_units)
+            system = dataclasses.replace(s2, cogen_units=units)
+            return system, draw(_rows_around_box(system, 100))
+
+        @PROPERTY
+        @given(cases())
+        def check(case):
+            system, g = case
+            _assert_inside_box_and_regions(system, repair_batch(g, system))
 
         check()
 

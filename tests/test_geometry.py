@@ -7,7 +7,7 @@ from chpdispatch.geometry import BOUNDARY_TOL, RegionTable
 
 from oracles import (polygon_chord_edges, polygon_chord_halfplanes,
                      polygon_contains_crossing, polygon_project_every_row,
-                     polygon_project_sampled)
+                     polygon_project_sampled, random_region)
 
 # The two cogeneration regions of the first test system and the remaining
 # shapes from systems 2/3 cover a quad, pentagons and small quads.
@@ -25,11 +25,11 @@ REGIONS = [np.asarray(v, float) for v in ALL_SHAPES] + [
 
 
 def _chords(verts, values, axis):
-    """(lo, hi, hit) chords of one region: the one-column case of a
-    RegionTable query."""
-    lo, hi, hit = RegionTable([np.asarray(verts, float)]).chord_bounds(
+    """(lo, hi) chords of one region: the one-column case of a RegionTable
+    query. A line meets the region where lo <= hi."""
+    lo, hi = RegionTable([np.asarray(verts, float)]).chord_bounds(
         np.asarray(values, float)[:, None], axis)
-    return lo[:, 0], hi[:, 0], hit[:, 0]
+    return lo[:, 0], hi[:, 0]
 
 
 # Derandomized, so every run of the suite draws the same examples.
@@ -109,20 +109,22 @@ class TestContainment:
 class TestLineBounds:
     def test_power_bounds_known_value(self):
         # at 75 MWth the pentagon is cut between its two upper edges
-        lo, hi, hit = _chords(PENTA, [75.0], axis=1)
-        assert hit[0]
+        lo, hi = _chords(PENTA, [75.0], axis=1)
+        assert lo[0] <= hi[0]
         assert lo[0] == pytest.approx(40.0, abs=1e-12)
         assert hi[0] == pytest.approx(119.36046511627907, abs=1e-9)
 
     def test_heat_bounds_at_extreme_power(self):
-        lo, hi, hit = _chords(PENTA, [125.8], axis=0)
-        assert hit[0]
+        lo, hi = _chords(PENTA, [125.8], axis=0)
+        assert lo[0] <= hi[0]
         assert lo[0] == pytest.approx(0.0, abs=1e-9)
         assert hi[0] == pytest.approx(32.4, abs=1e-9)
 
     def test_out_of_range_is_none(self):
-        assert not _chords(PENTA, [140.0], axis=1)[2][0]
-        assert not _chords(PENTA, [30.0], axis=0)[2][0]
+        for value, axis in ((140.0, 1), (30.0, 0)):
+            lo, hi = _chords(PENTA, [value], axis)
+            assert not lo[0] <= hi[0]
+            assert (lo[0], hi[0]) == (np.inf, -np.inf)
 
     def test_bounds_bracket_membership(self):
         # sweep heat levels: every bound pair must itself lie in the region
@@ -131,8 +133,7 @@ class TestLineBounds:
             poly = ForPolygon(verts)
             h_lo, h_hi = poly.heat_range
             h = rng.uniform(h_lo, h_hi, size=40)
-            lo, hi, hit = _chords(verts, h, axis=1)
-            assert hit.all()
+            lo, hi = _chords(verts, h, axis=1)
             assert np.all(lo <= hi)
             for p in (lo, hi, 0.5 * (lo + hi)):
                 assert poly.contains_many(np.column_stack([p, h]),
@@ -201,15 +202,15 @@ class TestChordOracle:
     @given(_chord_queries())
     def test_chord_bounds_match_halfplane_oracle(self, query):
         verts, axis, values, n_inside = query
-        lo, hi, hit = _chords(verts, values, axis)
+        lo, hi = _chords(verts, values, axis)
         for k, value in enumerate(values):
             want = polygon_chord_halfplanes(verts, value, axis)
             if k < n_inside:
-                assert hit[k] and want is not None
+                assert lo[k] <= hi[k] and want is not None
                 assert abs(lo[k] - want[0]) < 1e-9
                 assert abs(hi[k] - want[1]) < 1e-9
             else:
-                assert not hit[k] and want is None
+                assert not lo[k] <= hi[k] and want is None
 
 
 @st.composite
@@ -245,37 +246,13 @@ class TestProjectionProperties:
         assert np.all(dist[inside] == 0.0)
 
 
-# A strictly convex octagon with two edges flat along each axis: any three
-# to six of its vertices, in order, bound a convex counter-clockwise region.
-OCTAGON = np.array([(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2),
-                    (0, 1)], float)
-
-
-@st.composite
-def _random_region(draw):
-    """A convex region with 3 to 6 vertices, scaled and shifted: either
-    some of the octagon's vertices (with axis-flat edges) or points at
-    distinct multiples of 10 degrees on a circle."""
-    n = draw(st.integers(3, 6))
-    if draw(st.booleans()):
-        unit = OCTAGON[sorted(draw(st.lists(st.integers(0, 7), min_size=n,
-                                            max_size=n, unique=True)))]
-    else:
-        angles = np.radians(10.0 * np.sort(draw(st.lists(
-            st.integers(0, 35), min_size=n, max_size=n, unique=True))))
-        unit = np.column_stack([np.cos(angles), np.sin(angles)])
-    scale = np.array([draw(st.floats(0.5, 200.0)), draw(st.floats(0.5, 200.0))])
-    shift = np.array([draw(st.floats(0.0, 300.0)), draw(st.floats(0.0, 300.0))])
-    return unit * scale + shift
-
-
 @st.composite
 def _table_queries(draw):
     """1 to 4 regions (so shorter ones are padded), an axis, and an (R, U)
     block of values: each column drawn from its region's vertex coordinates
     along the axis, those +- BOUNDARY_TOL and +- twice it, points across
     the range, and values 1 beyond it."""
-    regions = draw(st.lists(_random_region(), min_size=1, max_size=4))
+    regions = draw(st.lists(random_region(), min_size=1, max_size=4))
     axis = draw(st.sampled_from((0, 1)))
     rows = draw(st.integers(1, 12))
     columns = []
@@ -297,15 +274,18 @@ class TestRegionTable:
     @given(_table_queries())
     def test_table_equals_each_region_alone(self, query):
         # bit for bit, against each region's own one-column table and
-        # against the edge-by-edge chords of a single polygon
+        # against the edge-by-edge chords of a single polygon, whose hit
+        # is where lo <= hi
         regions, axis, values = query
         got = RegionTable(regions).chord_bounds(values, axis)
+        assert len(got) == 2
         for u, v in enumerate(regions):
             alone = _chords(v, values[:, u], axis)
-            edges = polygon_chord_edges(v, values[:, u], axis)
+            *edges, hit = polygon_chord_edges(v, values[:, u], axis)
             for column, want, old in zip(got, alone, edges):
                 assert np.array_equal(column[:, u], want)
                 assert np.array_equal(column[:, u], old)
+            assert np.array_equal(got[0][:, u] <= got[1][:, u], hit)
 
     @pytest.mark.parametrize("name", ["system1", "system2", "system3"])
     def test_system_table_column_is_each_unit(self, name):
@@ -326,7 +306,7 @@ class TestRegionTable:
 def _mixed_points(draw):
     """A region and points around it, with its centroid (inside) and a
     point beyond its bounding box (outside) among them."""
-    verts = draw(st.one_of(st.sampled_from(REGIONS), _random_region()))
+    verts = draw(st.one_of(st.sampled_from(REGIONS), random_region()))
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     frac = draw(st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)),
                          max_size=30))
