@@ -32,17 +32,15 @@ from .engine import EngineConfig, FrontArchive, _normalize_objs, \
     run as engine_run
 from .metrics import (NormalizationBounds, eaf_surfaces, hv_metric,
                       spread_delta, wilcoxon_signed_rank)
-from .model import SystemDefinition, SystemLoadError, load_system, loss_batch
+from .model import (SystemDefinition, SystemLoadError, check_section,
+                    dataclass_keys, load_system, loss_batch, require_integers)
 
 OUTPUT_ROOT_ENV = "CHPDISPATCH_OUTPUT_ROOT"
 DEFAULT_EAF_LEVELS = (25.0, 50.0, 75.0)
 
-_EXPERIMENT_KEYS = {
-    "experiment_id", "system", "mode", "repetitions", "seed_base",
-    "output_dir", "algorithms",
-}
-# what an algorithm entry may set; the seed comes from seed_base
-_ENTRY_KEYS = {"algorithm", "population_size", "max_evaluations"}
+# what an algorithm entry may set: an EngineConfig but for the seed, which
+# comes from seed_base
+_ENTRY_KEYS = dataclass_keys(EngineConfig)[0] - {"rng_seed"}
 
 
 @dataclass(frozen=True)
@@ -63,10 +61,7 @@ class ExperimentConfig:
         if not self.experiment_id or "/" in self.experiment_id \
                 or os.sep in self.experiment_id:
             raise ValueError("experiment_id must be a plain directory name")
-        for name in ("repetitions", "seed_base"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+        require_integers(self, ("repetitions", "seed_base"))
         if self.mode not in ("chped", "chpeed"):
             raise ValueError("mode must be 'chped' or 'chpeed'")
         if self.repetitions < 1:
@@ -98,14 +93,7 @@ def load_experiment(path) -> ExperimentConfig:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise SystemLoadError(f"experiment file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SystemLoadError("experiment file must hold a JSON object")
-    unknown = set(data) - _EXPERIMENT_KEYS
-    if unknown:
-        raise SystemLoadError(f"experiment file has unknown field(s): {sorted(unknown)}")
-    for key in ("experiment_id", "system", "algorithms"):
-        if key not in data:
-            raise SystemLoadError(f"experiment file is missing '{key}'")
+    check_section(data, "experiment file", *dataclass_keys(ExperimentConfig))
     if not isinstance(data["algorithms"], list) \
             or not all(isinstance(e, dict) for e in data["algorithms"]):
         raise SystemLoadError("'algorithms' must be a list of JSON objects")
@@ -115,24 +103,13 @@ def load_experiment(path) -> ExperimentConfig:
             raise SystemLoadError(
                 f"algorithms[{i}] sets 'rng_seed'; seeds come from 'seed_base' "
                 "and 'repetitions'")
-        unknown = set(entry) - _ENTRY_KEYS
-        if unknown:
-            raise SystemLoadError(
-                f"algorithms[{i}] has unknown field(s): {sorted(unknown)}")
+        check_section(entry, f"algorithms[{i}]", _ENTRY_KEYS)
         try:
             algorithms.append(EngineConfig(**entry))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise SystemLoadError(f"algorithms[{i}]: {exc}") from exc
     try:
-        return ExperimentConfig(
-            experiment_id=data["experiment_id"],
-            system=data["system"],
-            algorithms=tuple(algorithms),
-            mode=data.get("mode", "chpeed"),
-            repetitions=data.get("repetitions", 1),
-            seed_base=data.get("seed_base", 1),
-            output_dir=data.get("output_dir", "runs"),
-        )
+        return ExperimentConfig(**{**data, "algorithms": tuple(algorithms)})
     except ValueError as exc:
         raise SystemLoadError(str(exc)) from exc
 
@@ -317,7 +294,10 @@ def _load_manifest(exp_dir: Path) -> dict:
     path = exp_dir / "manifest.json"
     if not path.exists():
         raise SystemLoadError(f"manifest not found: {path}")
-    return json.loads(path.read_text())
+    manifest = json.loads(path.read_text())
+    # keys a report does not read are kept: older manifests record more
+    check_section(manifest, str(path), None, ("system", "system_id"))
+    return manifest
 
 
 # ---------------------------------------------------------------------------

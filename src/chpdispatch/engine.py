@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import evaluate_batch
-from .model import SystemDefinition
+from .model import SystemDefinition, require_integers
 
 FEASIBILITY_TOL = 1e-9
 # one set of variation and indicator settings for all three solvers; the
@@ -70,6 +70,8 @@ class EngineConfig:
     algorithm: str = "IDBEA"
 
     def __post_init__(self):
+        require_integers(self, ("population_size", "max_evaluations",
+                                "rng_seed"))
         if self.population_size < 4 or self.population_size % 2:
             raise ValueError("population_size must be even and at least 4")
         if self.max_evaluations < self.population_size:

@@ -15,8 +15,8 @@ DispatchVector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -29,6 +29,37 @@ BUNDLED_SYSTEMS = ("system1", "system2", "system3")
 
 class SystemLoadError(ValueError):
     """Raised when a system definition file fails validation."""
+
+
+def check_section(data, label: str, allowed, required=()) -> None:
+    """Refuse a JSON section that is not an object, holds a key outside
+    allowed (any key passes when allowed is None) or lacks a required key;
+    the message names label and the key."""
+    if not isinstance(data, dict):
+        raise SystemLoadError(f"{label} must hold a JSON object")
+    unknown = set(data) - set(data if allowed is None else allowed)
+    if unknown:
+        raise SystemLoadError(f"{label} has unknown field(s): {sorted(unknown)}")
+    for key in required:
+        if key not in data:
+            raise SystemLoadError(f"{label} is missing '{key}'")
+
+
+@cache
+def dataclass_keys(cls) -> tuple[frozenset, tuple]:
+    """(field names, names of the fields without a default) of a dataclass,
+    once per class: the keys a JSON section that builds it may and must hold."""
+    return (frozenset(f.name for f in fields(cls)),
+            tuple(f.name for f in fields(cls)
+                  if f.default is MISSING and f.default_factory is MISSING))
+
+
+def require_integers(obj, names) -> None:
+    """Refuse a field of obj named in names that is not an int or is a bool."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -282,7 +313,7 @@ class Evaluation:
 # ---------------------------------------------------------------------------
 
 def cost_batch(p, o, h, t, system: SystemDefinition) -> np.ndarray:
-    total = np.zeros(p.shape[0] if p.ndim == 2 else o.shape[0])
+    total = np.zeros(p.shape[0])
     for j, u in enumerate(system.power_units):
         pj = p[:, j]
         total += u.cost_const + u.cost_linear * pj + u.cost_quad * pj * pj
@@ -308,7 +339,7 @@ def cost_batch(p, o, h, t, system: SystemDefinition) -> np.ndarray:
 
 
 def emission_batch(p, o, h, t, system: SystemDefinition) -> np.ndarray:
-    total = np.zeros(p.shape[0] if p.ndim == 2 else o.shape[0])
+    total = np.zeros(p.shape[0])
     for j, u in enumerate(system.power_units):
         pj = p[:, j]
         total += u.em_const + u.em_linear * pj + u.em_quad * pj * pj
@@ -346,11 +377,10 @@ def loss_batch(p, o, system: SystemDefinition) -> np.ndarray:
     """Network loss per dispatch row. The quadratic form runs over the
     concatenated electric vector with the power x cogen cross block counted
     once, plus the linear term and the constant."""
-    m = p.shape[0] if p.ndim == 2 else o.shape[0]
     if not system.loss_enabled:
-        return np.zeros(m)
+        return np.zeros(p.shape[0])
     lm = system.loss
-    return _loss_rows(m, _electric_columns(p, o), system.loss_weights,
+    return _loss_rows(p.shape[0], _electric_columns(p, o), system.loss_weights,
                       lm.b0_vector, lm.b00)
 
 
@@ -378,7 +408,7 @@ def balance_residuals_batch(p, o, h, t, loss, system: SystemDefinition):
 
 
 def capacity_violation_batch(p, o, h, t, system: SystemDefinition) -> np.ndarray:
-    total = np.zeros(p.shape[0] if p.ndim == 2 else o.shape[0])
+    total = np.zeros(p.shape[0])
     for j, u in enumerate(system.power_units):
         pj = p[:, j]
         total += np.clip(u.p_min - pj, 0.0, None) + np.clip(pj - u.p_max, 0.0, None)
@@ -415,36 +445,29 @@ def evaluate(x: DispatchVector, system: SystemDefinition) -> Evaluation:
 # System file loading.
 # ---------------------------------------------------------------------------
 
-_POWER_KEYS = {
-    "p_min", "p_max", "cost_const", "cost_linear", "cost_quad", "cost_cubic",
-    "valve_amp", "valve_freq", "em_const", "em_linear", "em_quad",
-    "em_exp_coeff", "em_exp_rate", "co2_linear",
-}
-_COGEN_KEYS = {
-    "region", "cost_const", "cost_p_linear", "cost_p_quad", "cost_h_linear",
-    "cost_h_quad", "cost_cross", "em_linear", "co2_linear",
-}
-_HEAT_KEYS = {
-    "h_min", "h_max", "cost_const", "cost_linear", "cost_quad",
-    "em_linear", "co2_linear",
-}
+_SYSTEM_KEYS = ("name", "description", "demand", "power_units",
+                "cogen_units", "heat_units", "loss")
+# each loss key with the array depth of its value; 'enabled' is a boolean
+_LOSS_NDIM = {"enabled": None, "scale_b": 0, "scale_b0": 0, "b": 2, "b0": 1,
+              "b00": 0}
+_SHAPES = ("a number", "a list of numbers", "a matrix of numbers")
 
 
-def _require_finite(label: str, value) -> None:
+def _require_finite(label: str, value, ndim: int = 0) -> None:
+    """Refuse a value that is not a finite number (ndim 0) or an ndim-deep
+    rectangular array of them; JSON true, false and strings are not
+    numbers."""
     try:
-        finite = bool(np.all(np.isfinite(np.asarray(value, float))))
-    except (TypeError, ValueError):
-        finite = False
-    if not finite:
-        raise SystemLoadError(f"{label} must be finite")
+        a = np.asarray(value)
+    except ValueError:            # a ragged list
+        a = None
+    if a is None or a.ndim != ndim or a.dtype.kind not in "iuf" \
+            or not np.isfinite(a).all():
+        raise SystemLoadError(f"{label} must be finite ({_SHAPES[ndim]})")
 
 
-def _build_unit(entry: dict, allowed: set, cls, label: str):
-    if not isinstance(entry, dict):
-        raise SystemLoadError(f"{label} entry must be an object")
-    unknown = set(entry) - allowed
-    if unknown:
-        raise SystemLoadError(f"{label} has unknown field(s): {sorted(unknown)}")
+def _build_unit(entry, cls, label: str):
+    check_section(entry, label, *dataclass_keys(cls))
     for key, value in entry.items():
         if key != "region":
             _require_finite(f"{label}.{key}", value)
@@ -456,8 +479,32 @@ def _build_unit(entry: dict, allowed: set, cls, label: str):
             raise SystemLoadError(f"{label} region: {exc}") from exc
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SystemLoadError(f"{label}: {exc}") from exc
+
+
+def _build_loss(section) -> LossModel | None:
+    """The loss model of a system file's loss section; None unless enabled."""
+    check_section(section, "loss", _LOSS_NDIM)
+    enabled = section.get("enabled", False)
+    if not isinstance(enabled, bool):
+        raise SystemLoadError(f"loss enabled must be true or false, not {enabled!r}")
+    for key, value in section.items():
+        if key != "enabled":
+            _require_finite(f"loss {key}", value, _LOSS_NDIM[key])
+    if not enabled:
+        return None
+    check_section(section, "loss", _LOSS_NDIM, ("b", "b0", "b00"))
+    with np.errstate(over="ignore"):
+        b = np.asarray(section["b"], float) * section.get("scale_b", 1.0)
+        b0 = np.asarray(section["b0"], float) * section.get("scale_b0", 1.0)
+    # after scaling, so an overflowing scale is caught too
+    _require_finite("loss b", b, 2)
+    _require_finite("loss b0", b0, 1)
+    try:
+        return LossModel(b_matrix=b, b0_vector=b0, b00=float(section["b00"]))
+    except ValueError as exc:
+        raise SystemLoadError(f"loss: {exc}") from exc
 
 
 def _check_objectives_finite(system: SystemDefinition) -> None:
@@ -500,53 +547,23 @@ def load_system(path_or_name) -> SystemDefinition:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SystemLoadError(f"system file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SystemLoadError("system file must hold a JSON object")
-
-    demand = data.get("demand")
-    if not isinstance(demand, dict) or "power" not in demand or "heat" not in demand:
-        raise SystemLoadError("demand section must provide 'power' and 'heat'")
+    check_section(data, "system file", _SYSTEM_KEYS, ("demand",))
+    demand = data["demand"]
+    check_section(demand, "demand", ("power", "heat"), ("power", "heat"))
     for key in ("power", "heat"):
         _require_finite(f"demand.{key}", demand[key])
-
-    power_units = tuple(
-        _build_unit(e, _POWER_KEYS, PowerOnlyUnit, f"power_units[{i}]")
-        for i, e in enumerate(data.get("power_units", []))
-    )
-    cogen_units = tuple(
-        _build_unit(e, _COGEN_KEYS, CogenUnit, f"cogen_units[{i}]")
-        for i, e in enumerate(data.get("cogen_units", []))
-    )
-    heat_units = tuple(
-        _build_unit(e, _HEAT_KEYS, HeatOnlyUnit, f"heat_units[{i}]")
-        for i, e in enumerate(data.get("heat_units", []))
-    )
-
-    loss_entry = data.get("loss")
-    loss = None
-    if loss_entry and loss_entry.get("enabled", False):
-        for key in ("b", "b0", "b00"):
-            if key not in loss_entry:
-                raise SystemLoadError(f"loss section is enabled but missing '{key}'")
-        scale_b = float(loss_entry.get("scale_b", 1.0))
-        scale_b0 = float(loss_entry.get("scale_b0", 1.0))
-        with np.errstate(over="ignore"):
-            b = np.asarray(loss_entry["b"], float) * scale_b
-            b0 = np.asarray(loss_entry["b0"], float) * scale_b0
-        b00 = float(loss_entry["b00"])
-        # after scaling, so an overflowing scale is caught too
-        for key, value in (("b", b), ("b0", b0), ("b00", b00)):
-            _require_finite(f"loss {key}", value)
-        try:
-            loss = LossModel(b_matrix=b, b0_vector=b0, b00=b00)
-        except ValueError as exc:
-            raise SystemLoadError(f"loss: {exc}") from exc
-
+    units = {}
+    for kind, cls in (("power_units", PowerOnlyUnit), ("cogen_units", CogenUnit),
+                      ("heat_units", HeatOnlyUnit)):
+        entries = data.get(kind, [])
+        if not isinstance(entries, list):
+            raise SystemLoadError(f"{kind} must be a list of JSON objects")
+        units[kind] = tuple(_build_unit(e, cls, f"{kind}[{i}]")
+                            for i, e in enumerate(entries))
+    loss = _build_loss(data.get("loss", {}))
     try:
         system = SystemDefinition(
-            power_units=power_units,
-            cogen_units=cogen_units,
-            heat_units=heat_units,
+            **units,
             power_demand=float(demand["power"]),
             heat_demand=float(demand["heat"]),
             loss=loss,

@@ -198,6 +198,26 @@ class TestLoadExperiment:
                            match=f"{field} must be an integer, not "):
             load_experiment(path)
 
+    @pytest.mark.parametrize("field", ["population_size", "max_evaluations"])
+    @pytest.mark.parametrize("value", [20.0, 40.5, True, "20"])
+    def test_entry_counts_must_be_integers(self, tmp_path, field, value):
+        # if accepted, 20.0 would fail in the worker and 40.5 run 60 evaluations
+        entry = {"algorithm": "IDBEA", "population_size": 20,
+                 "max_evaluations": 400, field: value}
+        path = _write_exp(tmp_path, algorithms=[entry])
+        with pytest.raises(SystemLoadError, match=rf"algorithms\[0\]: "
+                           rf"{field} must be an integer, not "):
+            load_experiment(path)
+
+    @pytest.mark.parametrize("field", [
+        "population_size", "max_evaluations", "rng_seed"])
+    @pytest.mark.parametrize("value", [20.0, False, "20", None])
+    def test_engine_config_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"{field} must be an integer, not "):
+            EngineConfig(**{"population_size": 20, "max_evaluations": 400,
+                            field: value})
+
     def test_defaults_and_parsed_fields(self, tmp_path):
         cfg = load_experiment(_write_exp(tmp_path))
         assert cfg.experiment_id == "exp"
@@ -1029,6 +1049,21 @@ class TestMain:
     def test_report_missing_manifest(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 2
         assert "manifest not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest, message", [
+        ([], "must hold a JSON object"),
+        ({}, "is missing 'system'"),
+        ({"system": "system2"}, "is missing 'system_id'"),
+    ])
+    def test_report_malformed_manifest(self, paired_reports, tmp_path,
+                                       capsys, manifest, message):
+        exp_dir, _ = paired_reports
+        work = tmp_path / "copy"
+        shutil.copytree(exp_dir, work)
+        (work / "manifest.json").write_text(json.dumps(manifest))
+        for command in ("report", "metrics"):
+            assert main([command, str(work)]) == 2
+            assert message in capsys.readouterr().err
 
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit) as exc:

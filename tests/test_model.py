@@ -404,3 +404,56 @@ class TestLoader:
         f.write_text(json.dumps(data))
         with pytest.raises(SystemLoadError, match=message):
             load_system(f)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda d: d.update(loss=[1]),
+                     "loss must hold a JSON object", id="loss-not-object"),
+        # if accepted, a typo would leave scale_b at 1: B 1e6 times too big
+        pytest.param(lambda d: d["loss"].update(scale_B=d["loss"].pop("scale_b")),
+                     r"loss has unknown field\(s\): \['scale_B'\]",
+                     id="loss-key-typo"),
+        pytest.param(lambda d: d["loss"].update(enabled="no"),
+                     "loss enabled must be true or false, not 'no'",
+                     id="loss-enabled-string"),
+        pytest.param(lambda d: d["loss"].update(scale_b="x"),
+                     r"loss scale_b must be finite \(a number\)",
+                     id="loss-scale-string"),
+        pytest.param(lambda d: d["loss"]["b"][2].pop(),
+                     r"loss b must be finite \(a matrix of numbers\)",
+                     id="loss-ragged-b"),
+        # checked when the loss is off too
+        pytest.param(lambda d: d["loss"].update(enabled=False, b00="x"),
+                     r"loss b00 must be finite \(a number\)",
+                     id="disabled-loss-string"),
+        pytest.param(lambda d: d.update(demands={}),
+                     r"system file has unknown field\(s\): \['demands'\]",
+                     id="top-level-unknown"),
+        pytest.param(lambda d: d["demand"].update(cooling=5.0),
+                     r"demand has unknown field\(s\): \['cooling'\]",
+                     id="demand-unknown"),
+        pytest.param(lambda d: d["demand"].pop("heat"),
+                     "demand is missing 'heat'", id="demand-missing-heat"),
+        pytest.param(lambda d: d.update(heat_units={}),
+                     "heat_units must be a list of JSON objects",
+                     id="units-not-a-list"),
+        pytest.param(lambda d: d["power_units"][0].pop("p_min"),
+                     r"power_units\[0\] is missing 'p_min'",
+                     id="unit-missing-bound"),
+        pytest.param(lambda d: d["power_units"][1].update(cost_linear="1.8"),
+                     r"power_units\[1\]\.cost_linear must be finite \(a number\)",
+                     id="coefficient-string"),
+        pytest.param(lambda d: d["cogen_units"][0].update(em_linear=True),
+                     r"cogen_units\[0\]\.em_linear must be finite \(a number\)",
+                     id="coefficient-bool"),
+        pytest.param(lambda d: d["heat_units"][0].update(cost_quad=[0.038]),
+                     r"heat_units\[0\]\.cost_quad must be finite \(a number\)",
+                     id="coefficient-list"),
+    ])
+    def test_malformed_sections_rejected(self, tmp_path, edit, message):
+        data = json.loads(resources.files("chpdispatch.data")
+                          .joinpath("system3.json").read_text())
+        edit(data)
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(data))
+        with pytest.raises(SystemLoadError, match=message):
+            load_system(f)
