@@ -8,7 +8,9 @@ Subcommands:
   report   dispatch tables, summary statistics, metrics, comparisons, EAF
 
 Output layout: <root>/<experiment_id>/<algorithm>/<algorithm>_seed<N>.csv
-plus manifest.json at the experiment level. The CHPDISPATCH_OUTPUT_ROOT
+plus manifest.json at the experiment level, the one list of an
+experiment's runs: metrics, eaf and report read exactly the runs it
+lists (compare reads bare directories of CSVs). The CHPDISPATCH_OUTPUT_ROOT
 environment variable overrides the configured output root. Front files
 are written atomically (temp file + rename) with repr-exact floats, so a
 rerun with identical config and seed reproduces them byte for byte. Every
@@ -58,8 +60,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, str):
                 raise ValueError(f"{name} must be a string, not {value!r}")
-        if not self.experiment_id or "/" in self.experiment_id \
-                or os.sep in self.experiment_id:
+        if not _is_plain_name(self.experiment_id):
             raise ValueError("experiment_id must be a plain directory name")
         require_integers(self, ("repetitions", "seed_base"))
         if self.mode not in ("chped", "chpeed"):
@@ -80,9 +81,6 @@ class RunRecord:
     seed: int
     wall_time: float
     front: FrontArchive
-    best_cost_point: tuple
-    best_emission_point: tuple | None
-    compromise_point: tuple
 
 
 def load_experiment(path) -> ExperimentConfig:
@@ -243,7 +241,7 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _read_front_csv(path: Path, algorithm: str, seed: int) -> FrontArchive:
+def _read_front_csv(path: Path) -> FrontArchive:
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         lines = fh.readlines()
@@ -251,19 +249,14 @@ def _read_front_csv(path: Path, algorithm: str, seed: int) -> FrontArchive:
         raise SystemLoadError(f"front file {path} has no header")
     data = _front_rows(path, lines, len(header))
     n_obj = 2 if "emission" in header else 1
-    return FrontArchive(
-        genes=data[:, n_obj + 1:],
-        objectives=data[:, :n_obj],
-        violations=data[:, n_obj],
-        seed=seed,
-        algorithm=algorithm,
-    )
+    return FrontArchive(genes=data[:, n_obj + 1:], objectives=data[:, :n_obj],
+                        violations=data[:, n_obj])
 
 
-def _seed_files(directory: Path, prefix: str = "*") -> dict[int, Path]:
-    """{seed: csv path} of the <prefix>_seed<N>.csv files in a directory."""
+def _seed_files(directory: Path) -> dict[int, Path]:
+    """{seed: csv path} of the *_seed<N>.csv files in a directory."""
     runs = {}
-    for f in sorted(directory.glob(f"{prefix}_seed*.csv")):
+    for f in sorted(directory.glob("*_seed*.csv")):
         try:
             runs[int(f.stem.rsplit("seed", 1)[1])] = f
         except (IndexError, ValueError):
@@ -271,33 +264,60 @@ def _seed_files(directory: Path, prefix: str = "*") -> dict[int, Path]:
     return runs
 
 
-def _discover_runs(exp_dir: Path) -> dict[str, dict[int, Path]]:
-    """{algorithm: {seed: csv path}} found under an experiment directory."""
-    found = {}
-    for alg_dir in sorted(p for p in exp_dir.iterdir() if p.is_dir()):
-        runs = _seed_files(alg_dir, alg_dir.name)
-        if runs:
-            found[alg_dir.name] = runs
-    if not found:
-        raise SystemLoadError(f"no run files found under {exp_dir}")
-    return found
+def _front_file(algorithm: str, seed: int) -> str:
+    """A run's front file, relative to its experiment directory."""
+    return f"{algorithm}/{algorithm}_seed{seed}.csv"
 
 
-def _load_fronts(found) -> dict[str, dict[int, FrontArchive]]:
-    """Read every discovered front CSV once: {algorithm: {seed: front}}."""
-    return {alg: {seed: _read_front_csv(path, alg, seed)
-                  for seed, path in runs.items()}
-            for alg, runs in found.items()}
+def _is_plain_name(name) -> bool:
+    """Whether name is a string naming a directory entry of its own."""
+    return isinstance(name, str) and name not in ("", ".", "..") \
+        and "/" not in name and os.sep not in name
 
 
-def _load_manifest(exp_dir: Path) -> dict:
+def _load_experiment(exp_dir: Path):
+    """(manifest, {algorithm: {seed: front}}, {(algorithm, seed): wall
+    seconds}) of a persisted experiment: exactly the runs its manifest
+    lists, each front read once from <algorithm>/<algorithm>_seed<N>.csv.
+    A malformed manifest or run entry, or a listed front that is missing,
+    is refused."""
     path = exp_dir / "manifest.json"
     if not path.exists():
         raise SystemLoadError(f"manifest not found: {path}")
     manifest = json.loads(path.read_text())
     # keys a report does not read are kept: older manifests record more
-    check_section(manifest, str(path), None, ("system", "system_id"))
-    return manifest
+    check_section(manifest, str(path), None, ("system", "system_id", "runs"))
+    if not isinstance(manifest["system"], str):
+        raise SystemLoadError(f"{path}: 'system' must be a string")
+    if not isinstance(manifest["runs"], list) or not manifest["runs"]:
+        raise SystemLoadError(f"{path}: 'runs' must be a non-empty list")
+    fronts, walls = {}, {}
+    for i, entry in enumerate(manifest["runs"]):
+        label = f"{path} runs[{i}]"
+        check_section(entry, label, None,
+                      ("algorithm", "seed", "file", "wall_time"))
+        alg, seed, wall = entry["algorithm"], entry["seed"], entry["wall_time"]
+        if not _is_plain_name(alg):
+            raise SystemLoadError(
+                f"{label}: 'algorithm' must be a plain name, not {alg!r}")
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise SystemLoadError(
+                f"{label}: 'seed' must be an integer, not {seed!r}")
+        if isinstance(wall, bool) or not isinstance(wall, (int, float)):
+            raise SystemLoadError(
+                f"{label}: 'wall_time' must be a number, not {wall!r}")
+        rel = _front_file(alg, seed)
+        if entry["file"] != rel:
+            raise SystemLoadError(
+                f"{label}: file {entry['file']!r} is not {rel!r}")
+        if (alg, seed) in walls:
+            raise SystemLoadError(f"{label} repeats {alg} seed {seed}")
+        if not (exp_dir / rel).is_file():
+            raise SystemLoadError(
+                f"{label}: front file not found: {exp_dir / rel}")
+        fronts.setdefault(alg, {})[seed] = _read_front_csv(exp_dir / rel)
+        walls[alg, seed] = wall
+    return manifest, fronts, walls
 
 
 # ---------------------------------------------------------------------------
@@ -379,27 +399,15 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None,
         for (_, ecfg, _), (front, wall, caught) in zip(tasks, results):
             seed = ecfg.rng_seed
             _reissue(caught)
-            path = exp_dir / ecfg.algorithm / f"{ecfg.algorithm}_seed{seed}.csv"
-            _write_front_csv(path, front, system)
-
-            points = {label: tuple(front.objectives[idx])
-                      for label, idx in _solution_rows(front).items()}
-            best_cost = points["best_cost"]
-            rec = RunRecord(
-                experiment_id=cfg.experiment_id,
-                algorithm=ecfg.algorithm,
-                seed=seed,
-                wall_time=wall,
-                front=front,
-                best_cost_point=best_cost,
-                best_emission_point=points.get("best_emission"),
-                compromise_point=points.get("compromise", best_cost),
-            )
-            records.append(rec)
+            rel = _front_file(ecfg.algorithm, seed)
+            _write_front_csv(exp_dir / rel, front, system)
+            records.append(RunRecord(experiment_id=cfg.experiment_id,
+                                     algorithm=ecfg.algorithm, seed=seed,
+                                     wall_time=wall, front=front))
             manifest_runs.append({
                 "algorithm": ecfg.algorithm,
                 "seed": seed,
-                "file": str(path.relative_to(exp_dir)),
+                "file": rel,
                 "front_size": len(front),
                 "n_evaluations": front.n_evaluations,
                 "wall_time": wall,
@@ -407,7 +415,8 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None,
             if progress:
                 progress(f"{ecfg.algorithm} seed {seed}: "
                          f"{len(front)} front points, "
-                         f"best cost {best_cost[0]:.1f}, {wall:.1f}s")
+                         f"best cost {front.objectives[:, 0].min():.1f}, "
+                         f"{wall:.1f}s")
     finally:
         if pool is not None:      # no worker outlives the call
             pool.terminate()
@@ -495,39 +504,32 @@ def _solution_rows(front: FrontArchive) -> dict[str, int]:
 def emit_reports(exp_dir, alpha: float = 0.05) -> list[Path]:
     """Write dispatch/report tables for a persisted experiment directory:
     report.csv, summary.csv, and (bi-objective runs) metrics.csv,
-    compare.csv, and EAF polylines. Pure function of the persisted files."""
+    compare.csv, and EAF polylines. Pure function of the manifest and the
+    front files it lists."""
     exp_dir = Path(exp_dir)
-    manifest = _load_manifest(exp_dir)
+    manifest, fronts, walls = _load_experiment(exp_dir)
     system = load_system(manifest["system"])
-    fronts = _load_fronts(_discover_runs(exp_dir))
-    walls = {(r["algorithm"], r["seed"]): r["wall_time"]
-             for r in manifest.get("runs", [])}
     two_obj = _two_objective(fronts)
 
     report_rows, summary_rows = [], []
     for alg in sorted(fronts):
-        min_costs, min_ems, alg_walls = [], [], []
-        for seed, front in sorted(fronts[alg].items()):
+        runs = sorted(fronts[alg].items())
+        for seed, front in runs:
             p, o, _, _ = system.split_genes(front.genes)
             ploss = loss_batch(p, o, system)
-            wall = walls.get((alg, seed))
             for label, idx in _solution_rows(front).items():
                 objs = front.objectives[idx].tolist()
                 report_rows.append(
                     [alg, seed, label, objs[0], objs[1] if two_obj else None,
                      ploss[idx], front.violations[idx],
-                     *front.genes[idx].tolist(), wall])
-            min_costs.append(front.objectives[:, 0].min())
-            if two_obj:
-                min_ems.append(front.objectives[:, 1].min())
-            if wall is not None:
-                alg_walls.append(wall)
-        costs = np.array(min_costs)
+                     *front.genes[idx].tolist(), walls[alg, seed]])
+        costs = np.array([f.objectives[:, 0].min() for _, f in runs])
         std = costs.std(ddof=1) if costs.shape[0] > 1 else 0.0
+        best_em = min(f.objectives[:, 1].min() for _, f in runs) \
+            if two_obj else None
         summary_rows.append(
             [alg, costs.shape[0], costs.min(), costs.max(), costs.mean(), std,
-             min(min_ems) if min_ems else None,
-             np.mean(alg_walls) if alg_walls else None])
+             best_em, np.mean([walls[alg, seed] for seed, _ in runs])])
 
     gene_cols = _gene_columns(system.n_power, system.n_cogen, system.n_heat)
     tables = {
@@ -599,8 +601,7 @@ def _parse_bounds(spec: str, fronts) -> NormalizationBounds:
 
 def _cmd_metrics(args) -> int:
     exp_dir = Path(args.run_dir)
-    manifest = _load_manifest(exp_dir)
-    fronts = _load_fronts(_discover_runs(exp_dir))
+    manifest, fronts, _ = _load_experiment(exp_dir)
     _require_two_objectives(fronts, "metrics")
     bounds = _parse_bounds(args.bounds, fronts)
     rows = _metric_rows(fronts, manifest["system_id"], bounds)
@@ -613,8 +614,7 @@ def _cmd_eaf(args) -> int:
     levels = [float(v) for v in args.levels.split(",") if v.strip()]
     if not levels:
         raise SystemLoadError("no attainment levels given")
-    _load_manifest(exp_dir)   # refuse a directory that holds no experiment
-    fronts = _load_fronts(_discover_runs(exp_dir))
+    _, fronts, _ = _load_experiment(exp_dir)
     _require_two_objectives(fronts, "EAF")
     for alg in sorted(fronts):
         if len(fronts[alg]) < 2:
@@ -628,17 +628,18 @@ def _cmd_eaf(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    dirs = []
-    for d in (Path(args.run_dir_a), Path(args.run_dir_b)):
+    dirs = (Path(args.run_dir_a), Path(args.run_dir_b))
+    names = [d.name for d in dirs]
+    if names[0] == names[1]:
+        names = [f"a:{names[0]}", f"b:{names[1]}"]
+    fronts = {}
+    for name, d in zip(names, dirs):
         runs = _seed_files(d)
         if not runs:
             raise SystemLoadError(f"no run files found under {d}")
-        dirs.append((d.name, runs))
-    (name_a, runs_a), (name_b, runs_b) = dirs
-    if name_a == name_b:
-        name_a, name_b = f"a:{name_a}", f"b:{name_b}"
-    rows = _compare_rows(_load_fronts({name_a: runs_a, name_b: runs_b}),
-                         args.alpha)
+        fronts[name] = {seed: _read_front_csv(path)
+                        for seed, path in runs.items()}
+    rows = _compare_rows(fronts, args.alpha)
     if not rows:
         raise SystemLoadError("the two run sets share fewer than 2 seeds")
     print(_table(COMPARE_HEADER, rows), end="")

@@ -86,8 +86,6 @@ class FrontArchive:
     genes: np.ndarray        # (n, n_genes) repaired decision vectors
     objectives: np.ndarray   # (n, 2) = (cost, emission), or (n, 1) cost only
     violations: np.ndarray   # (n,)
-    seed: int
-    algorithm: str
     n_evaluations: int = 0
 
     def __len__(self):
@@ -486,7 +484,7 @@ def _raw_objs(ev, n_objs: int) -> np.ndarray:
     return np.column_stack([ev.cost, ev.emission])
 
 
-def _make_front(genes, raw, viol, ecfg, evals) -> FrontArchive:
+def _make_front(genes, raw, viol, evals) -> FrontArchive:
     fronts = _fast_nds(raw, viol)
     keep = fronts[0]
     genes, raw, viol = genes[keep], raw[keep], viol[keep]
@@ -496,8 +494,6 @@ def _make_front(genes, raw, viol, ecfg, evals) -> FrontArchive:
         genes=genes[keep].copy(),
         objectives=raw[keep].copy(),
         violations=viol[keep].copy(),
-        seed=ecfg.rng_seed,
-        algorithm=ecfg.algorithm,
         n_evaluations=evals,
     )
 
@@ -521,7 +517,7 @@ def run(system: SystemDefinition, ecfg: EngineConfig,
         keep, primary, secondary = select(objs, viol, ecfg)
         genes, objs, viol = genes[keep], objs[keep], viol[keep]
         if evals >= ecfg.max_evaluations:
-            return _make_front(genes, objs, viol, ecfg, evals)
+            return _make_front(genes, objs, viol, evals)
         ev = evaluate_batch(_spawn_children(genes, primary, secondary, lower,
                                             upper, n, rng), system)
         evals += n

@@ -8,6 +8,7 @@ import os
 import shutil
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -231,9 +232,10 @@ class TestLoadExperiment:
         assert cfg.algorithms[0].population_size == 8
 
     def test_config_rejects_path_like_id(self):
-        with pytest.raises(ValueError, match="plain directory name"):
-            ExperimentConfig(experiment_id="a/b", system="system2",
-                             algorithms=(EngineConfig(**TINY),))
+        for experiment_id in ("a/b", "", ".", ".."):
+            with pytest.raises(ValueError, match="plain directory name"):
+                ExperimentConfig(experiment_id=experiment_id, system="system2",
+                                 algorithms=(EngineConfig(**TINY),))
 
     def test_config_rejects_zero_repetitions(self):
         with pytest.raises(ValueError, match="repetitions must be at least 1"):
@@ -326,15 +328,6 @@ class TestRunExperiment:
         assert all(r.experiment_id == "paired" for r in records)
         assert all(r.wall_time > 0 for r in records)
 
-    def test_record_points_come_from_front(self, paired_experiment):
-        _, _, records = paired_experiment
-        for rec in records:
-            objs = rec.front.objectives
-            rows = {tuple(row) for row in objs}
-            assert rec.best_cost_point == tuple(objs[np.argmin(objs[:, 0])])
-            assert rec.best_emission_point == tuple(objs[np.argmin(objs[:, 1])])
-            assert rec.compromise_point in rows
-
     def test_output_layout(self, paired_experiment):
         _, exp_dir, _ = paired_experiment
         for alg in ("IDBEA", "IBEA"):
@@ -365,9 +358,7 @@ class TestRunExperiment:
         _, exp_dir, records = paired_experiment
         for rec in records:
             path = exp_dir / rec.algorithm / f"{rec.algorithm}_seed{rec.seed}.csv"
-            back = _read_front_csv(path, rec.algorithm, rec.seed)
-            assert back.seed == rec.seed
-            assert back.algorithm == rec.algorithm
+            back = _read_front_csv(path)
             stored = np.hstack([rec.front.objectives,
                                 rec.front.violations[:, None],
                                 rec.front.genes])
@@ -379,7 +370,7 @@ class TestRunExperiment:
         _, exp_dir, records = paired_experiment
         rec = records[0]
         path = exp_dir / rec.algorithm / f"{rec.algorithm}_seed{rec.seed}.csv"
-        back = _read_front_csv(path, rec.algorithm, rec.seed)
+        back = _read_front_csv(path)
         costs = back.objectives[:, 0]
         assert np.all(np.diff(costs) >= 0)
 
@@ -389,7 +380,7 @@ class TestRunExperiment:
         system = load_system("system2")
         for rec in records:
             path = exp_dir / rec.algorithm / f"{rec.algorithm}_seed{rec.seed}.csv"
-            front = _read_front_csv(path, rec.algorithm, rec.seed)
+            front = _read_front_csv(path)
             p, o, h, t = system.split_genes(front.genes)
             assert np.allclose(cost_batch(p, o, h, t, system),
                                front.objectives[:, 0], rtol=1e-9, atol=1e-9)
@@ -428,9 +419,8 @@ class TestRunExperiment:
     def test_chped_records(self, chped_experiment):
         _, records = chped_experiment
         rec = records[0]
+        assert (rec.algorithm, rec.seed) == ("IDBEA", 1)
         assert rec.front.objectives.shape[1] == 1
-        assert rec.best_emission_point is None
-        assert rec.compromise_point == rec.best_cost_point
 
     def test_chped_csv_has_no_emission_column(self, chped_experiment):
         exp_dir, _ = chped_experiment
@@ -460,7 +450,7 @@ def _fronts(draw):
     cells = draw(st.lists(_FLOAT, min_size=n * width, max_size=n * width))
     data = np.array(cells, float).reshape(n, width)
     front = FrontArchive(genes=data[:, n_obj + 1:], objectives=data[:, :n_obj],
-                         violations=data[:, n_obj], seed=1, algorithm="A")
+                         violations=data[:, n_obj])
     return front, system
 
 
@@ -496,7 +486,7 @@ class TestFrontFiles:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "A_seed1.csv"
             _write_front_csv(path, front, system)
-            back = _read_front_csv(path, "A", 1)
+            back = _read_front_csv(path)
             text = path.read_text()
         assert back.genes.shape == front.genes.shape
         assert back.objectives.shape == front.objectives.shape
@@ -516,11 +506,11 @@ class TestFrontFiles:
         system = load_system("system2")
         front = FrontArchive(genes=np.empty((0, system.n_genes)),
                              objectives=np.empty((0, 2)),
-                             violations=np.empty(0), seed=1, algorithm="A")
+                             violations=np.empty(0))
         path = tmp_path / "A_seed1.csv"
         _write_front_csv(path, front, system)
         assert path.read_text().count("\n") == 1
-        back = _read_front_csv(path, "A", 1)
+        back = _read_front_csv(path)
         assert back.genes.shape == (0, system.n_genes)
         assert back.objectives.shape == (0, 2)
         assert back.violations.shape == (0,)
@@ -528,7 +518,7 @@ class TestFrontFiles:
     def test_blank_lines_skipped(self, tmp_path):
         path = _front_text(tmp_path, "\n1.0,2.0,0.0,3.0\n\n",
                            "4.0,5.0,0.0,6.0\n")
-        back = _read_front_csv(path, "A", 1)
+        back = _read_front_csv(path)
         assert back.objectives.tolist() == [[1.0, 2.0], [4.0, 5.0]]
         assert back.genes.tolist() == [[3.0], [6.0]]
 
@@ -537,7 +527,7 @@ class TestFrontFiles:
         with pytest.raises(SystemLoadError,
                            match=r"A_seed1\.csv, line 3: 3 fields where "
                                  r"the header has 4"):
-            _read_front_csv(path, "A", 1)
+            _read_front_csv(path)
 
     def test_extra_field_in_every_row(self, tmp_path):
         path = _front_text(tmp_path, "1.0,2.0,0.0,3.0,9.0\n",
@@ -545,30 +535,30 @@ class TestFrontFiles:
         with pytest.raises(SystemLoadError,
                            match=r"A_seed1\.csv, line 2: 5 fields where "
                                  r"the header has 4"):
-            _read_front_csv(path, "A", 1)
+            _read_front_csv(path)
 
     def test_cell_not_a_number(self, tmp_path):
         path = _front_text(tmp_path, "1.0,2.0,0.0,3.0\n", "4.0,x5,0.0,6.0\n")
         with pytest.raises(SystemLoadError,
                            match=r"A_seed1\.csv, line 3: 'x5' is not a "
                                  r"number"):
-            _read_front_csv(path, "A", 1)
+            _read_front_csv(path)
 
     def test_comment_line_refused(self, tmp_path):
         path = _front_text(tmp_path, "#1.0,2.0,0.0,3.0\n", "4.0,5.0,0.0,6.0\n")
         with pytest.raises(SystemLoadError,
                            match=r"A_seed1\.csv, line 2: '#1\.0' is not a "
                                  r"number"):
-            _read_front_csv(path, "A", 1)
+            _read_front_csv(path)
         path = _front_text(tmp_path, "1.0,2.0,0.0,3.0\n", "# a note\n")
         with pytest.raises(SystemLoadError, match=r"A_seed1\.csv, line 3"):
-            _read_front_csv(path, "A", 1)
+            _read_front_csv(path)
 
     def test_file_without_header_refused(self, tmp_path):
         path = tmp_path / "A_seed1.csv"
         path.write_text("")
         with pytest.raises(SystemLoadError, match=r"A_seed1\.csv has no header"):
-            _read_front_csv(path, "A", 1)
+            _read_front_csv(path)
 
     @PROPERTY
     @given(_surfaces())
@@ -707,12 +697,8 @@ class TestEmitReports:
             rec = by_run[(row["algorithm"], int(row["seed"]))]
             objs = rec.front.objectives
             idx = {"best_cost": int(np.argmin(objs[:, 0])),
-                   "best_emission": int(np.argmin(objs[:, 1]))}.get(
-                       row["solution"])
-            if idx is None:
-                assert (float(row["cost"]), float(row["emission"])) == \
-                    rec.compromise_point
-                continue
+                   "best_emission": int(np.argmin(objs[:, 1])),
+                   "compromise": cli._compromise_index(objs)}[row["solution"]]
             assert float(row["cost"]) == objs[idx, 0]
             assert float(row["emission"]) == objs[idx, 1]
             assert float(row["violation"]) == rec.front.violations[idx]
@@ -748,7 +734,7 @@ class TestEmitReports:
         for alg in ("IDBEA", "IBEA"):
             for seed in (5, 6, 7):
                 path = exp_dir / alg / f"{alg}_seed{seed}.csv"
-                fronts[alg, seed] = _read_front_csv(path, alg, seed)
+                fronts[alg, seed] = _read_front_csv(path)
         bounds = NormalizationBounds.from_fronts(list(fronts.values()))
         with open(exp_dir / "metrics.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -772,8 +758,8 @@ class TestEmitReports:
 
     def test_eaf_files_match_recomputation(self, paired_reports):
         exp_dir, _ = paired_reports
-        fronts = [_read_front_csv(exp_dir / "IDBEA" / f"IDBEA_seed{s}.csv",
-                                  "IDBEA", s) for s in (5, 6, 7)]
+        fronts = [_read_front_csv(exp_dir / "IDBEA" / f"IDBEA_seed{s}.csv")
+                  for s in (5, 6, 7)]
         surfaces = eaf_surfaces(fronts, (25.0, 50.0, 75.0))
         for level in (25.0, 50.0, 75.0):
             got = np.loadtxt(exp_dir / f"eaf_IDBEA_{int(level)}.csv",
@@ -808,8 +794,7 @@ class TestEmitReports:
         gene_cols = ("p1", "p2", "p3", "p4", "o1", "o2", "h1", "h2", "t1")
         losses = {}
         for seed in (1, 2):
-            front = _read_front_csv(exp_dir / "IDBEA" / f"IDBEA_seed{seed}.csv",
-                                    "IDBEA", seed)
+            front = _read_front_csv(exp_dir / "IDBEA" / f"IDBEA_seed{seed}.csv")
             p, o, _, _ = system.split_genes(front.genes)
             losses[seed] = (front.genes, loss_batch(p, o, system))
         for row in rows:
@@ -844,19 +829,67 @@ class TestEmitReports:
         for path in written:
             assert (old / path.name).read_bytes() == path.read_bytes()
 
+    def test_reads_only_the_runs_the_manifest_lists(self, tmp_path):
+        # a second run into the same experiment leaves the first run's
+        # fronts on disk; the report is over the runs of the second alone
+        first = ExperimentConfig(
+            experiment_id="x", system="system2", repetitions=2,
+            algorithms=(EngineConfig(algorithm="IDBEA", **TINY),
+                        EngineConfig(algorithm="IBEA", **TINY)))
+        run_experiment(first, base_dir=tmp_path)
+        second = replace(first, seed_base=10, algorithms=(
+            EngineConfig(algorithm="NSGA2", **TINY),))
+        records = run_experiment(second, base_dir=tmp_path)
+        exp_dir = tmp_path / "x"
+        assert (exp_dir / "IDBEA" / "IDBEA_seed1.csv").exists()
+        written = {p.name for p in emit_reports(exp_dir)}
+        assert written == {"report.csv", "summary.csv", "metrics.csv",
+                           "eaf_NSGA2_25.csv", "eaf_NSGA2_50.csv",
+                           "eaf_NSGA2_75.csv"}
+        tables = {}
+        for name in ("report.csv", "summary.csv", "metrics.csv"):
+            with open(exp_dir / name, newline="") as fh:
+                tables[name] = list(csv.DictReader(fh))
+        runs = {("NSGA2", 10), ("NSGA2", 11)}
+        assert {(r["algorithm"], int(r["seed"]))
+                for r in tables["report.csv"]} == runs
+        assert len(tables["report.csv"]) == 3 * len(runs)
+        assert [(r["algorithm"], int(r["runs"]))
+                for r in tables["summary.csv"]] == [("NSGA2", 2)]
+        assert float(tables["summary.csv"][0]["mean_wall_time_s"]) == \
+            np.mean([r.wall_time for r in records])
+        assert {(r["algorithm"], int(r["seed"]))
+                for r in tables["metrics.csv"]} == runs
+        assert len(tables["metrics.csv"]) == len(runs)
+
     def test_each_front_read_once(self, paired_reports, monkeypatch):
         exp_dir, _ = paired_reports
         reads = []
 
-        def counted(path, *args):
+        def counted(path):
             reads.append(path)
-            return _read_front_csv(path, *args)
+            return _read_front_csv(path)
 
         monkeypatch.setattr(cli, "_read_front_csv", counted)
         emit_reports(exp_dir)
         fronts = sorted(exp_dir.glob("*/*_seed*.csv"))
         assert len(fronts) == 6
         assert sorted(reads) == fronts
+
+
+def _entry(drop=None, **over):
+    """A manifest run entry for the paired experiment's IDBEA seed 5, with
+    the keys in over changed and the key drop left out."""
+    entry = {"algorithm": "IDBEA", "seed": 5, "file": "IDBEA/IDBEA_seed5.csv",
+             "wall_time": 1.0, "front_size": 3, "n_evaluations": 64, **over}
+    entry.pop(drop, None)
+    return entry
+
+
+def _listing(*runs, **over):
+    """A manifest on system2 that lists the given run entries."""
+    return {"system": "system2", "system_id": "system2", "runs": list(runs),
+            **over}
 
 
 class TestMain:
@@ -993,7 +1026,10 @@ class TestMain:
         exp_dir, _ = paired_reports
         lone = tmp_path / "lone"
         (lone / "IDBEA").mkdir(parents=True)
-        shutil.copy(exp_dir / "manifest.json", lone / "manifest.json")
+        manifest = json.loads((exp_dir / "manifest.json").read_text())
+        manifest["runs"] = [r for r in manifest["runs"]
+                            if (r["algorithm"], r["seed"]) == ("IDBEA", 5)]
+        (lone / "manifest.json").write_text(json.dumps(manifest))
         shutil.copy(exp_dir / "IDBEA" / "IDBEA_seed5.csv", lone / "IDBEA")
         assert main(["eaf", str(lone)]) == 2
         err = capsys.readouterr().err
@@ -1046,6 +1082,19 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.count("wrote ") == 10
 
+    @pytest.mark.parametrize("command", ["report", "metrics", "eaf"])
+    def test_missing_listed_front_refused(self, paired_reports, tmp_path,
+                                          capsys, command):
+        exp_dir, _ = paired_reports
+        work = tmp_path / "copy"
+        shutil.copytree(exp_dir, work)
+        gone = work / "IBEA" / "IBEA_seed6.csv"
+        gone.unlink()
+        assert main([command, str(work)]) == 2
+        err = capsys.readouterr().err
+        assert str(gone) in err
+        assert "front file not found" in err
+
     def test_report_missing_manifest(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 2
         assert "manifest not found" in capsys.readouterr().err
@@ -1054,6 +1103,28 @@ class TestMain:
         ([], "must hold a JSON object"),
         ({}, "is missing 'system'"),
         ({"system": "system2"}, "is missing 'system_id'"),
+        ({"system": "system2", "system_id": "system2"}, "is missing 'runs'"),
+        (_listing(_entry(), system=5), "'system' must be a string"),
+        (_listing(runs={"IDBEA": 5}), "'runs' must be a non-empty list"),
+        (_listing(), "'runs' must be a non-empty list"),
+        (_listing(1), "runs[0] must hold a JSON object"),
+        (_listing(_entry(), [_entry()]), "runs[1] must hold a JSON object"),
+    ] + [(_listing(_entry(drop=key)), f"runs[0] is missing '{key}'")
+         for key in ("algorithm", "seed", "file", "wall_time")] + [
+        (_listing(_entry(algorithm=5)), "'algorithm' must be a plain name"),
+        (_listing(_entry(algorithm="..", file="../.._seed5.csv")),
+         "'algorithm' must be a plain name, not '..'"),
+        (_listing(_entry(seed="5")), "'seed' must be an integer, not '5'"),
+        (_listing(_entry(seed=5.0)), "'seed' must be an integer, not 5.0"),
+        (_listing(_entry(seed=True)), "'seed' must be an integer, not True"),
+        (_listing(_entry(wall_time="1")), "'wall_time' must be a number"),
+        (_listing(_entry(wall_time=None)), "'wall_time' must be a number"),
+        (_listing(_entry(file="../x.csv")),
+         "file '../x.csv' is not 'IDBEA/IDBEA_seed5.csv'"),
+        (_listing(_entry(file="IBEA/IBEA_seed5.csv")),
+         "is not 'IDBEA/IDBEA_seed5.csv'"),
+        (_listing(_entry(), _entry(wall_time=2.0)),
+         "runs[1] repeats IDBEA seed 5"),
     ])
     def test_report_malformed_manifest(self, paired_reports, tmp_path,
                                        capsys, manifest, message):

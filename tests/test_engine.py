@@ -972,7 +972,6 @@ class TestRuns:
                            rng_seed=4, algorithm="NSGA2")
         a = run(self.sys2, cfg)
         b = run(self.sys2, cfg)
-        assert a.algorithm == "NSGA2"
         assert np.array_equal(a.genes, b.genes)
         for i in range(len(a)):
             for j in range(len(a)):
@@ -988,11 +987,9 @@ class TestRuns:
         ])
         raw = np.array([(1.0, 4.0), (1.0, 4.0), (2.0, 5.0), (3.0, 1.0)])
         viol = np.zeros(4)
-        cfg = EngineConfig(population_size=4, max_evaluations=4)
-        front = _make_front(genes, raw, viol, cfg, evals=4)
+        front = _make_front(genes, raw, viol, evals=4)
         assert len(front) == 2
         assert front.objectives.tolist() == [[1.0, 4.0], [3.0, 1.0]]
-        assert (front.seed, front.algorithm) == (0, "IDBEA")
 
 
 class TestArchiveContainer:
@@ -1001,7 +998,6 @@ class TestArchiveContainer:
             genes=np.zeros((2, 6)),
             objectives=np.array([(1.0, 2.0), (3.0, 0.5)]),
             violations=np.zeros(2),
-            seed=1, algorithm="IDBEA",
             n_evaluations=100,
         )
         assert len(arch) == 2

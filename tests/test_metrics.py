@@ -13,13 +13,12 @@ from chpdispatch import (
 import oracles
 
 
-def _archive(points, seed=0):
+def _archive(points):
     pts = np.atleast_2d(np.asarray(points, float))
     return FrontArchive(
         genes=np.zeros((pts.shape[0], 1)),
         objectives=pts,
         violations=np.zeros(pts.shape[0]),
-        seed=seed, algorithm="IDBEA",
     )
 
 
@@ -149,7 +148,7 @@ class TestEafSurfaces:
 
     def test_identical_runs_share_every_surface(self):
         pts = [(0.1, 0.9), (0.4, 0.5), (0.8, 0.2)]
-        runs = [_archive(pts, seed=k) for k in range(4)]
+        runs = [_archive(pts) for _ in range(4)]
         out = eaf_surfaces(runs, [25.0, 50.0, 75.0, 100.0])
         base = out[25.0]
         for level in (50.0, 75.0, 100.0):
