@@ -1,21 +1,17 @@
 """Experiment harness and command-line interface.
 
 Subcommands:
-  run      execute a batch experiment file (seeded repetitions x algorithms)
-  metrics  hypervolume + spread per persisted run
-  eaf      empirical attainment surface polylines per algorithm
-  compare  paired Wilcoxon test between two algorithms' run sets
-  report   dispatch tables, summary statistics, metrics, comparisons, EAF
+  run     execute a batch experiment file (seeded repetitions x algorithms)
+  report  dispatch tables, summary statistics, hypervolume and spread per
+          run, paired Wilcoxon comparisons and EAF surfaces
 
 Output layout: <root>/<experiment_id>/<algorithm>/<algorithm>_seed<N>.csv
 plus manifest.json at the experiment level, the one list of an
-experiment's runs: metrics, eaf and report read exactly the runs it
-lists (compare reads bare directories of CSVs). The CHPDISPATCH_OUTPUT_ROOT
-environment variable overrides the configured output root. Front files
-are written atomically (temp file + rename) with repr-exact floats, so a
-rerun with identical config and seed reproduces them byte for byte. Every
-table goes through one CSV writer: `metrics` and `compare` print exactly
-the metrics.csv and compare.csv rows that `report` writes.
+experiment's runs: report reads exactly the runs it lists. The
+CHPDISPATCH_OUTPUT_ROOT environment variable overrides the configured
+output root. Front files are written atomically (temp file + rename) with
+repr-exact floats, so a rerun with identical config and seed reproduces
+them byte for byte.
 """
 from __future__ import annotations
 
@@ -38,7 +34,7 @@ from .model import (SystemDefinition, SystemLoadError, check_section,
                     dataclass_keys, load_system, loss_batch, require_integers)
 
 OUTPUT_ROOT_ENV = "CHPDISPATCH_OUTPUT_ROOT"
-DEFAULT_EAF_LEVELS = (25.0, 50.0, 75.0)
+EAF_LEVELS = (25.0, 50.0, 75.0)
 
 # what an algorithm entry may set: an EngineConfig but for the seed, which
 # comes from seed_base
@@ -157,13 +153,6 @@ def _table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_table(path: Path, header, rows) -> str:
-    """Write a CSV table atomically; returns its text."""
-    text = _table(header, rows)
-    _atomic_write(path, text)
-    return text
-
-
 def _float_tables(header, arrays):
     """Yield the CSV text of a header over each of several 2-D float arrays
     in turn, the cells as _cell writes them. Each distinct value of all
@@ -253,17 +242,6 @@ def _read_front_csv(path: Path) -> FrontArchive:
                         violations=data[:, n_obj])
 
 
-def _seed_files(directory: Path) -> dict[int, Path]:
-    """{seed: csv path} of the *_seed<N>.csv files in a directory."""
-    runs = {}
-    for f in sorted(directory.glob("*_seed*.csv")):
-        try:
-            runs[int(f.stem.rsplit("seed", 1)[1])] = f
-        except (IndexError, ValueError):
-            continue
-    return runs
-
-
 def _front_file(algorithm: str, seed: int) -> str:
     """A run's front file, relative to its experiment directory."""
     return f"{algorithm}/{algorithm}_seed{seed}.csv"
@@ -284,7 +262,10 @@ def _load_experiment(exp_dir: Path):
     path = exp_dir / "manifest.json"
     if not path.exists():
         raise SystemLoadError(f"manifest not found: {path}")
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise SystemLoadError(f"{path} is not valid JSON: {exc}") from exc
     # keys a report does not read are kept: older manifests record more
     check_section(manifest, str(path), None, ("system", "system_id", "runs"))
     if not isinstance(manifest["system"], str):
@@ -441,35 +422,17 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None,
 # Reports.
 # ---------------------------------------------------------------------------
 
-METRICS_HEADER = ("system", "algorithm", "seed", "hv", "spread")
-COMPARE_HEADER = ("algorithm_a", "algorithm_b", "metric", "n_pairs", "mean_a",
-                  "mean_b", "p_value", "reject")
-
-
-def _two_objective(fronts) -> bool:
-    return all(f.objectives.shape[1] == 2
-               for runs in fronts.values() for f in runs.values())
-
-
-def _require_two_objectives(fronts, what: str) -> None:
-    if not _two_objective(fronts):
-        raise SystemLoadError(
-            f"{what} needs bi-objective fronts; this run is single-objective")
-
-
-def _metric_rows(fronts, system_id: str, bounds: NormalizationBounds):
+def _metric_rows(fronts, system_id: str):
+    """hv/spread rows of every run, on the union bounds of all fronts."""
+    bounds = NormalizationBounds.from_fronts(
+        [f for runs in fronts.values() for f in runs.values()])
     return [(system_id, alg, seed, hv_metric(front, bounds),
              spread_delta(front, bounds))
             for alg in sorted(fronts)
             for seed, front in sorted(fronts[alg].items())]
 
 
-def _union_bounds(fronts) -> NormalizationBounds:
-    return NormalizationBounds.from_fronts(
-        [f for runs in fronts.values() for f in runs.values()])
-
-
-def _compare_rows(fronts, alpha: float):
+def _compare_rows(fronts):
     """Paired hv/spread Wilcoxon rows for every algorithm pair sharing seeds."""
     algs = sorted(fronts)
     out = []
@@ -483,7 +446,7 @@ def _compare_rows(fronts, alpha: float):
                 [f for pair in paired for f in pair])
             for metric, fn in (("hv", hv_metric), ("spread", spread_delta)):
                 pairs = [(fn(fa, bounds), fn(fb, bounds)) for fa, fb in paired]
-                p, reject = wilcoxon_signed_rank(pairs, alpha)
+                p, reject = wilcoxon_signed_rank(pairs)
                 mean_a = float(np.mean([x for x, _ in pairs]))
                 mean_b = float(np.mean([y for _, y in pairs]))
                 out.append((a, b, metric, len(seeds), mean_a, mean_b, p, reject))
@@ -501,7 +464,7 @@ def _solution_rows(front: FrontArchive) -> dict[str, int]:
     return rows
 
 
-def emit_reports(exp_dir, alpha: float = 0.05) -> list[Path]:
+def emit_reports(exp_dir) -> list[Path]:
     """Write dispatch/report tables for a persisted experiment directory:
     report.csv, summary.csv, and (bi-objective runs) metrics.csv,
     compare.csv, and EAF polylines. Pure function of the manifest and the
@@ -509,7 +472,8 @@ def emit_reports(exp_dir, alpha: float = 0.05) -> list[Path]:
     exp_dir = Path(exp_dir)
     manifest, fronts, walls = _load_experiment(exp_dir)
     system = load_system(manifest["system"])
-    two_obj = _two_objective(fronts)
+    two_obj = all(f.objectives.shape[1] == 2
+                  for runs in fronts.values() for f in runs.values())
 
     report_rows, summary_rows = [], []
     for alg in sorted(fronts):
@@ -541,34 +505,35 @@ def emit_reports(exp_dir, alpha: float = 0.05) -> list[Path]:
                          "mean_wall_time_s"], summary_rows),
     }
     if two_obj:
-        tables["metrics.csv"] = (METRICS_HEADER, _metric_rows(
-            fronts, system.name, _union_bounds(fronts)))
-        compare_rows = _compare_rows(fronts, alpha)
+        tables["metrics.csv"] = (["system", "algorithm", "seed", "hv",
+                                  "spread"], _metric_rows(fronts, system.name))
+        compare_rows = _compare_rows(fronts)
         if compare_rows:
-            tables["compare.csv"] = (COMPARE_HEADER, compare_rows)
+            tables["compare.csv"] = (["algorithm_a", "algorithm_b", "metric",
+                                      "n_pairs", "mean_a", "mean_b",
+                                      "p_value", "reject"], compare_rows)
     written = [exp_dir / name for name in tables]
     for path, (header, rows) in zip(written, tables.values()):
-        _write_table(path, header, rows)
+        _atomic_write(path, _table(header, rows))
     if two_obj:
-        written += _write_eaf(exp_dir, fronts, DEFAULT_EAF_LEVELS)
+        written += _write_eaf(exp_dir, fronts)
     return written
 
 
-def _write_eaf(exp_dir: Path, fronts, levels) -> list[Path]:
-    """eaf_<algorithm>_<level>.csv polylines for every algorithm with at
-    least 2 runs; returns the paths written."""
+def _write_eaf(exp_dir: Path, fronts) -> list[Path]:
+    """eaf_<algorithm>_<level>.csv polylines at each of EAF_LEVELS for
+    every algorithm with at least 2 runs; returns the paths written."""
     written = []
     for alg in sorted(fronts):
         if len(fronts[alg]) < 2:
             continue
         runs = [fronts[alg][s] for s in sorted(fronts[alg])]
-        surfaces = eaf_surfaces(runs, levels)
+        surfaces = eaf_surfaces(runs, EAF_LEVELS)
         order = sorted(surfaces)
         texts = _float_tables(("cost", "emission"),
                               [surfaces[level] for level in order])
         for level, text in zip(order, texts):
-            tag = str(int(level)) if float(level).is_integer() else repr(level)
-            path = exp_dir / f"eaf_{alg}_{tag}.csv"
+            path = exp_dir / f"eaf_{alg}_{int(level)}.csv"
             _atomic_write(path, text)
             written.append(path)
     return written
@@ -586,68 +551,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_bounds(spec: str, fronts) -> NormalizationBounds:
-    if spec == "union":
-        return _union_bounds(fronts)
-    path = Path(spec)
-    if not path.exists():
-        raise SystemLoadError(f"bounds file not found: {path}")
-    data = json.loads(path.read_text())
-    if not isinstance(data, dict) or not {"lower", "upper"} <= data.keys():
-        raise SystemLoadError(
-            "bounds file must provide 'lower' and 'upper' in a JSON object")
-    return NormalizationBounds(lower=data["lower"], upper=data["upper"])
-
-
-def _cmd_metrics(args) -> int:
-    exp_dir = Path(args.run_dir)
-    manifest, fronts, _ = _load_experiment(exp_dir)
-    _require_two_objectives(fronts, "metrics")
-    bounds = _parse_bounds(args.bounds, fronts)
-    rows = _metric_rows(fronts, manifest["system_id"], bounds)
-    print(_write_table(exp_dir / "metrics.csv", METRICS_HEADER, rows), end="")
-    return 0
-
-
-def _cmd_eaf(args) -> int:
-    exp_dir = Path(args.run_dir)
-    levels = [float(v) for v in args.levels.split(",") if v.strip()]
-    if not levels:
-        raise SystemLoadError("no attainment levels given")
-    _, fronts, _ = _load_experiment(exp_dir)
-    _require_two_objectives(fronts, "EAF")
-    for alg in sorted(fronts):
-        if len(fronts[alg]) < 2:
-            print(f"skipping {alg}: needs at least 2 runs", file=sys.stderr)
-    written = _write_eaf(exp_dir, fronts, levels)
-    for path in written:
-        print(f"wrote {path}")
-    if not written:
-        raise SystemLoadError("no algorithm had enough runs for EAF surfaces")
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    dirs = (Path(args.run_dir_a), Path(args.run_dir_b))
-    names = [d.name for d in dirs]
-    if names[0] == names[1]:
-        names = [f"a:{names[0]}", f"b:{names[1]}"]
-    fronts = {}
-    for name, d in zip(names, dirs):
-        runs = _seed_files(d)
-        if not runs:
-            raise SystemLoadError(f"no run files found under {d}")
-        fronts[name] = {seed: _read_front_csv(path)
-                        for seed, path in runs.items()}
-    rows = _compare_rows(fronts, args.alpha)
-    if not rows:
-        raise SystemLoadError("the two run sets share fewer than 2 seeds")
-    print(_table(COMPARE_HEADER, rows), end="")
-    return 0
-
-
 def _cmd_report(args) -> int:
-    for path in emit_reports(args.run_dir, alpha=args.alpha):
+    for path in emit_reports(args.run_dir):
         print(f"wrote {path}")
     return 0
 
@@ -662,27 +567,8 @@ def main(argv=None) -> int:
     p.add_argument("experiment", help="experiment definition JSON")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("metrics", help="hypervolume and spread per run")
-    p.add_argument("run_dir", help="experiment output directory")
-    p.add_argument("--bounds", default="union",
-                   help="'union' or a JSON file with lower/upper arrays")
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("eaf", help="empirical attainment surfaces")
-    p.add_argument("run_dir")
-    p.add_argument("--levels", default="25,50,75",
-                   help="comma-separated attainment percentages")
-    p.set_defaults(func=_cmd_eaf)
-
-    p = sub.add_parser("compare", help="paired statistical comparison")
-    p.add_argument("run_dir_a", help="first algorithm run directory")
-    p.add_argument("run_dir_b", help="second algorithm run directory")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.set_defaults(func=_cmd_compare)
-
     p = sub.add_parser("report", help="emit all report tables for a run dir")
-    p.add_argument("run_dir")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("run_dir", help="experiment output directory")
     p.set_defaults(func=_cmd_report)
 
     args = parser.parse_args(argv)

@@ -568,11 +568,11 @@ class TestFrontFiles:
         fronts = {"A": {1: None, 2: None}}
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
                 cli, "eaf_surfaces", lambda runs, levels: surfaces):
-            written = cli._write_eaf(Path(tmp), fronts, sorted(surfaces))
+            written = cli._write_eaf(Path(tmp), fronts)
             texts = [p.read_text() for p in written]
         assert [p.name for p in written] == [
             "eaf_A_25.csv", "eaf_A_50.csv", "eaf_A_75.csv"]
-        for level, text in zip(sorted(surfaces), texts):
+        for level, text in zip(cli.EAF_LEVELS, texts):
             assert text == _table(("cost", "emission"),
                                   surfaces[level].tolist())
 
@@ -905,192 +905,40 @@ class TestMain:
         assert main(["run", str(tmp_path / "nope.json")]) == 2
         assert "error: experiment file not found" in capsys.readouterr().err
 
-    def test_metrics_subcommand(self, paired_reports, capsys):
-        exp_dir, _ = paired_reports
-        assert main(["metrics", str(exp_dir)]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == "system,algorithm,seed,hv,spread"
-        assert len(out) == 7
-        assert (exp_dir / "metrics.csv").exists()
-
-    def test_metrics_with_bounds_file(self, paired_reports, tmp_path, capsys):
-        exp_dir, _ = paired_reports
-        work = tmp_path / "copy"
-        shutil.copytree(exp_dir, work)
-        bounds = tmp_path / "bounds.json"
-        bounds.write_text(json.dumps(
-            {"lower": [13000.0, 1.0], "upper": [20000.0, 14.0]}))
-        assert main(["metrics", str(work), "--bounds", str(bounds)]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 7
-
-    def test_metrics_bounds_file_errors(self, paired_reports, tmp_path,
-                                        capsys):
-        exp_dir, _ = paired_reports
-        assert main(["metrics", str(exp_dir), "--bounds",
-                     str(tmp_path / "nope.json")]) == 2
-        assert "bounds file not found" in capsys.readouterr().err
-        partial = tmp_path / "partial.json"
-        partial.write_text(json.dumps({"lower": [0, 0]}))
-        assert main(["metrics", str(exp_dir), "--bounds", str(partial)]) == 2
-        assert "must provide 'lower' and 'upper'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("text", ["5", "[1, 2]"])
-    def test_metrics_bounds_file_that_is_not_an_object(self, paired_reports,
-                                                       tmp_path, capsys,
-                                                       text):
-        exp_dir, _ = paired_reports
-        bounds = tmp_path / "bounds.json"
-        bounds.write_text(text)
-        assert main(["metrics", str(exp_dir), "--bounds", str(bounds)]) == 2
-        assert "must provide 'lower' and 'upper' in a JSON object" \
-            in capsys.readouterr().err
-
-    def test_metrics_bounds_of_the_wrong_length(self, paired_reports,
-                                                tmp_path, capsys):
-        # one lower/upper pair must not broadcast over both objectives
-        exp_dir, _ = paired_reports
-        work = tmp_path / "copy"
-        shutil.copytree(exp_dir, work)
-        bounds = tmp_path / "bounds.json"
-        bounds.write_text(json.dumps({"lower": [13000.0], "upper": [20000.0]}))
-        before = (work / "metrics.csv").read_bytes()
-        assert main(["metrics", str(work), "--bounds", str(bounds)]) == 2
-        captured = capsys.readouterr()
-        assert "points have 2 objective(s) but the bounds have 1" \
-            in captured.err
-        assert captured.out == ""
-        assert (work / "metrics.csv").read_bytes() == before
-
-    def test_metrics_prints_the_csv_it_writes(self, paired_reports, tmp_path,
-                                              capsys):
-        exp_dir, _ = paired_reports
-        work = tmp_path / "copy"
-        shutil.copytree(exp_dir, work)
-        (work / "metrics.csv").unlink()
-        assert main(["metrics", str(work)]) == 0
-        written = (work / "metrics.csv").read_text()
-        assert capsys.readouterr().out == written
-        # with union bounds it is the table report writes
-        assert written == (exp_dir / "metrics.csv").read_text()
-
-    def test_metrics_rejects_single_objective_runs(self, chped_experiment,
-                                                   tmp_path, capsys):
-        exp_dir, _ = chped_experiment
-        assert main(["metrics", str(exp_dir)]) == 2
-        assert "bi-objective" in capsys.readouterr().err
-        bounds = tmp_path / "bounds.json"
-        bounds.write_text(json.dumps(
-            {"lower": [9000.0, 0.0], "upper": [10000.0, 1.0]}))
-        assert main(["metrics", str(exp_dir), "--bounds", str(bounds)]) == 2
-        assert "bi-objective" in capsys.readouterr().err
-
-    def test_eaf_rejects_single_objective_runs(self, chped_experiment,
-                                               capsys):
-        exp_dir, _ = chped_experiment
-        assert main(["eaf", str(exp_dir)]) == 2
-        assert "EAF needs bi-objective fronts" in capsys.readouterr().err
-
-    def test_eaf_subcommand(self, paired_reports, capsys):
-        exp_dir, _ = paired_reports
-        assert main(["eaf", str(exp_dir), "--levels", "50"]) == 0
-        out = capsys.readouterr().out
-        assert "eaf_IDBEA_50.csv" in out and "eaf_IBEA_50.csv" in out
-
-    def test_eaf_subcommand_writes_what_report_writes(self, paired_reports,
-                                                      tmp_path, capsys):
-        exp_dir, _ = paired_reports
-        work = tmp_path / "copy"
-        shutil.copytree(exp_dir, work)
-        from_report = {p.name: p.read_bytes() for p in emit_reports(work)
-                       if p.name.startswith("eaf_")}
-        for name in from_report:
-            (work / name).unlink()
-        assert main(["eaf", str(work), "--levels", "25,50,75"]) == 0
-        capsys.readouterr()
-        from_eaf = {p.name: p.read_bytes() for p in work.glob("eaf_*.csv")}
-        assert len(from_report) == 6
-        assert from_eaf == from_report
-
-    def test_eaf_rejects_empty_levels(self, paired_reports, capsys):
-        exp_dir, _ = paired_reports
-        assert main(["eaf", str(exp_dir), "--levels", " , "]) == 2
-        assert "no attainment levels" in capsys.readouterr().err
-
-    def test_eaf_rejects_out_of_range_level(self, paired_reports, capsys):
-        exp_dir, _ = paired_reports
-        assert main(["eaf", str(exp_dir), "--levels", "0"]) == 2
-        assert "outside (0, 100]" in capsys.readouterr().err
-
-    def test_eaf_needs_two_runs_per_algorithm(self, paired_reports, tmp_path,
-                                              capsys):
-        exp_dir, _ = paired_reports
-        lone = tmp_path / "lone"
-        (lone / "IDBEA").mkdir(parents=True)
-        manifest = json.loads((exp_dir / "manifest.json").read_text())
-        manifest["runs"] = [r for r in manifest["runs"]
-                            if (r["algorithm"], r["seed"]) == ("IDBEA", 5)]
-        (lone / "manifest.json").write_text(json.dumps(manifest))
-        shutil.copy(exp_dir / "IDBEA" / "IDBEA_seed5.csv", lone / "IDBEA")
-        assert main(["eaf", str(lone)]) == 2
-        err = capsys.readouterr().err
-        assert "skipping IDBEA" in err
-        assert "no algorithm had enough runs" in err
-
-    def test_compare_subcommand(self, paired_reports, capsys):
-        exp_dir, _ = paired_reports
-        assert main(["compare", str(exp_dir / "IDBEA"),
-                     str(exp_dir / "IBEA")]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("algorithm_a,algorithm_b")
-        assert len(lines) == 3
-        assert lines[1].startswith("IBEA,IDBEA,hv,3,")
-        assert lines[2].startswith("IBEA,IDBEA,spread,3,")
-
-    def test_compare_directory_with_itself(self, paired_reports, capsys):
-        exp_dir, _ = paired_reports
-        path = str(exp_dir / "IDBEA")
-        assert main(["compare", path, path]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[1].startswith("a:IDBEA,b:IDBEA,hv,3,")
-        assert lines[1].endswith(",1.0,False")
-
-    def test_compare_prints_what_report_writes(self, paired_reports, capsys):
-        exp_dir, _ = paired_reports
-        assert main(["compare", str(exp_dir / "IDBEA"),
-                     str(exp_dir / "IBEA")]) == 0
-        assert capsys.readouterr().out == (exp_dir / "compare.csv").read_text()
-
-    def test_compare_needs_shared_seeds(self, paired_reports, tmp_path,
-                                        capsys):
-        exp_dir, _ = paired_reports
-        lone = tmp_path / "lone"
-        lone.mkdir()
-        shutil.copy(exp_dir / "IDBEA" / "IDBEA_seed5.csv", lone)
-        assert main(["compare", str(lone), str(exp_dir / "IBEA")]) == 2
-        assert "fewer than 2 seeds" in capsys.readouterr().err
-
-    def test_compare_empty_directory(self, paired_reports, tmp_path, capsys):
-        exp_dir, _ = paired_reports
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert main(["compare", str(empty), str(exp_dir / "IBEA")]) == 2
-        assert "no run files found" in capsys.readouterr().err
-
     def test_report_subcommand(self, paired_reports, capsys):
         exp_dir, _ = paired_reports
         assert main(["report", str(exp_dir)]) == 0
         out = capsys.readouterr().out
         assert out.count("wrote ") == 10
 
-    @pytest.mark.parametrize("command", ["report", "metrics", "eaf"])
+    def test_report_without_enough_runs_for_eaf_or_compare(
+            self, paired_reports, tmp_path, capsys):
+        # EAF surfaces need two runs of an algorithm, and the Wilcoxon
+        # comparison two seeds that both algorithms ran
+        exp_dir, _ = paired_reports
+        work = tmp_path / "few"
+        kept = {("IDBEA", 5), ("IBEA", 5), ("IBEA", 6)}
+        manifest = json.loads((exp_dir / "manifest.json").read_text())
+        manifest["runs"] = [r for r in manifest["runs"]
+                            if (r["algorithm"], r["seed"]) in kept]
+        for alg, seed in kept:
+            (work / alg).mkdir(parents=True, exist_ok=True)
+            shutil.copy(exp_dir / alg / f"{alg}_seed{seed}.csv", work / alg)
+        (work / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["report", str(work)]) == 0
+        capsys.readouterr()
+        assert {p.name for p in work.glob("*.csv")} == {
+            "report.csv", "summary.csv", "metrics.csv", "eaf_IBEA_25.csv",
+            "eaf_IBEA_50.csv", "eaf_IBEA_75.csv"}
+
     def test_missing_listed_front_refused(self, paired_reports, tmp_path,
-                                          capsys, command):
+                                          capsys):
         exp_dir, _ = paired_reports
         work = tmp_path / "copy"
         shutil.copytree(exp_dir, work)
         gone = work / "IBEA" / "IBEA_seed6.csv"
         gone.unlink()
-        assert main([command, str(work)]) == 2
+        assert main(["report", str(work)]) == 2
         err = capsys.readouterr().err
         assert str(gone) in err
         assert "front file not found" in err
@@ -1098,6 +946,13 @@ class TestMain:
     def test_report_missing_manifest(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 2
         assert "manifest not found" in capsys.readouterr().err
+
+    def test_report_manifest_not_json(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text("{bad")
+        assert main(["report", str(tmp_path)]) == 2
+        assert f"error: {path} is not valid JSON: Expecting property name" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("manifest, message", [
         ([], "must hold a JSON object"),
@@ -1132,9 +987,8 @@ class TestMain:
         work = tmp_path / "copy"
         shutil.copytree(exp_dir, work)
         (work / "manifest.json").write_text(json.dumps(manifest))
-        for command in ("report", "metrics"):
-            assert main([command, str(work)]) == 2
-            assert message in capsys.readouterr().err
+        assert main(["report", str(work)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit) as exc:
@@ -1142,4 +996,17 @@ class TestMain:
         assert exc.value.code == 2
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "runs/demo"], ["eaf", "runs/demo"],
+        ["compare", "runs/demo/IDBEA", "runs/demo/IBEA"],
+        ["report", "runs/demo", "--alpha", "0.1"],
+    ], ids=["metrics", "eaf", "compare", "report-alpha"])
+    def test_retired_subcommands_and_options_refused(self, argv):
+        # report writes every table these wrote, at fixed EAF levels and
+        # the default Wilcoxon alpha; argparse refuses before any file is
+        # read
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2

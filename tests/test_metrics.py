@@ -56,6 +56,13 @@ class TestNormalizationBounds:
         norm = nb.normalize([(10.0, 1.0), (20.0, 3.0), (15.0, 2.0)])
         assert np.allclose(norm, [(0.0, 0.0), (1.0, 1.0), (0.5, 0.5)])
 
+    def test_normalize_refuses_points_of_another_width(self):
+        # one lower/upper pair must not broadcast over both objectives
+        nb = NormalizationBounds(lower=[13000.0], upper=[20000.0])
+        with pytest.raises(ValueError, match=r"points have 2 objective\(s\) "
+                                             r"but the bounds have 1"):
+            nb.normalize([(15000.0, 2.0)])
+
 
 class TestHvMetric:
     def test_utopian_point_fills_reference_box(self):
