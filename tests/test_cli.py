@@ -911,12 +911,9 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.count("wrote ") == 10
 
-    def test_report_without_enough_runs_for_eaf_or_compare(
-            self, paired_reports, tmp_path, capsys):
-        # EAF surfaces need two runs of an algorithm, and the Wilcoxon
-        # comparison two seeds that both algorithms ran
-        exp_dir, _ = paired_reports
-        work = tmp_path / "few"
+    @staticmethod
+    def _few_runs(exp_dir, work):
+        """Copy of exp_dir keeping IDBEA seed 5 and IBEA seeds 5 and 6."""
         kept = {("IDBEA", 5), ("IBEA", 5), ("IBEA", 6)}
         manifest = json.loads((exp_dir / "manifest.json").read_text())
         manifest["runs"] = [r for r in manifest["runs"]
@@ -925,11 +922,27 @@ class TestMain:
             (work / alg).mkdir(parents=True, exist_ok=True)
             shutil.copy(exp_dir / alg / f"{alg}_seed{seed}.csv", work / alg)
         (work / "manifest.json").write_text(json.dumps(manifest))
+        return work
+
+    def test_compare_needs_shared_seeds(self, paired_reports, tmp_path,
+                                        capsys):
+        # the Wilcoxon comparison needs two seeds that both algorithms ran
+        exp_dir, _ = paired_reports
+        work = self._few_runs(exp_dir, tmp_path / "few")
         assert main(["report", str(work)]) == 0
         capsys.readouterr()
-        assert {p.name for p in work.glob("*.csv")} == {
-            "report.csv", "summary.csv", "metrics.csv", "eaf_IBEA_25.csv",
-            "eaf_IBEA_50.csv", "eaf_IBEA_75.csv"}
+        assert (work / "metrics.csv").exists()
+        assert not (work / "compare.csv").exists()
+
+    def test_eaf_needs_two_runs_per_algorithm(self, paired_reports, tmp_path,
+                                              capsys):
+        # EAF surfaces need two runs of an algorithm
+        exp_dir, _ = paired_reports
+        work = self._few_runs(exp_dir, tmp_path / "few")
+        assert main(["report", str(work)]) == 0
+        capsys.readouterr()
+        assert {p.name for p in work.glob("eaf_*.csv")} == {
+            "eaf_IBEA_25.csv", "eaf_IBEA_50.csv", "eaf_IBEA_75.csv"}
 
     def test_missing_listed_front_refused(self, paired_reports, tmp_path,
                                           capsys):
