@@ -27,7 +27,12 @@ individuals collect large sums and the worst individual is the argmax.
 Environmental selection removes that argmax repeatedly, updating the sums
 incrementally. The sums are compensated and carry the same bits as a
 sequential Neumaier summation, row by row; the start-up computes them
-without a Python loop (see _env_select).
+without a Python loop (see _env_select). Each pairwise overlap side is
+formed as min(ref - a, ref - b), which equals ref - max(a, b) bit for bit
+(see _pairwise_indicator), and removed rows leave the argmax through a
+dead vector of 0.0 and -inf added to the fitness, not a mask. A run
+allocates one _workspace for its 2N pools, and every selection writes its
+(n, n) matrices there, so no generation maps and faults in fresh ones.
 
 Selection operates on raw objectives; constraint pressure enters as a
 feasibility layer (infeasible individuals lose tournaments and are evicted
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -113,31 +119,63 @@ def _normalize_objs(objs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pairwise_indicator(nobjs: np.ndarray, ref: float = 1.1) -> np.ndarray:
+# the buffers of a _workspace: three float matrices, then two bool masks
+_WORK_TYPES = (float, float, float, bool, bool)
+
+
+def _workspace(n: int) -> tuple:
+    """Work buffers for indicator selection on pools of up to n rows: one
+    flat buffer of n * n entries per type in _WORK_TYPES. A run allocates
+    one workspace and passes it to every selection, so no generation
+    allocates (and the kernel need not fault in and zero) a fresh n x n
+    matrix."""
+    return tuple(np.empty(n * n, t) for t in _WORK_TYPES)
+
+
+def _buffer(work, k: int, rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) view of the front of buffer k of work, or a new
+    array of that buffer's type when work is None. Its contents are
+    undefined."""
+    if work is None:
+        return np.empty((rows, cols), _WORK_TYPES[k])
+    return work[k][:rows * cols].reshape(rows, cols)
+
+
+def _pairwise_indicator(nobjs: np.ndarray, ref: float = 1.1,
+                        work=None) -> np.ndarray:
     """I[j, i] = indicator of singleton j against singleton i, on
     normalized objectives. Generic in the number of objectives; the terms
     are built one objective column at a time from (n, n) matrices, which
-    avoids (n, n, m) temporaries."""
+    avoids (n, n, m) temporaries. The result lies in buffer 0 of work.
+
+    Each overlap side is min(ref - a, ref - b): one np.minimum of the
+    (ref - col) vector against itself, not a maximum and then a
+    subtraction. It equals ref - max(a, b) bit for bit: rounding to
+    nearest is monotone, so the larger value always gives the smaller
+    rounded difference."""
+    n = nobjs.shape[0]
+    overlap = _buffer(work, 0, n, n)
+    tmp = _buffer(work, 1, n, n)
+    weak = _buffer(work, 3, n, n)
+    le = _buffer(work, 4, n, n)
     col = nobjs[:, 0]
     ih = ref - col
-    overlap = np.maximum(col[:, None], col[None, :])
-    np.subtract(ref, overlap, out=overlap)
-    weak = col[:, None] <= col[None, :]
-    tmp = np.empty_like(overlap)
+    np.minimum(ih[:, None], ih[None, :], out=overlap)
+    np.less_equal(col[:, None], col[None, :], out=weak)
     for col in nobjs.T[1:]:
-        ih = ih * (ref - col)
-        np.maximum(col[:, None], col[None, :], out=tmp)
-        np.subtract(ref, tmp, out=tmp)
-        overlap *= tmp
-        weak &= col[:, None] <= col[None, :]
+        side = ref - col
+        ih = ih * side
+        overlap *= np.minimum(side[:, None], side[None, :], out=tmp)
+        weak &= np.less_equal(col[:, None], col[None, :], out=le)
     np.subtract(ih[None, :], overlap, out=overlap)
     np.subtract(ih[None, :], ih[:, None], out=tmp)
     np.copyto(overlap, tmp, where=weak)
     return overlap
 
 
-def _indicator_fitness(objs: np.ndarray) -> np.ndarray:
-    """Contribution matrix E; the fitness F is its column sum.
+def _indicator_fitness(objs: np.ndarray, work=None) -> np.ndarray:
+    """Contribution matrix E, in buffer 0 of work; the fitness F is its
+    column sum.
 
     E[j, i] = exp(-I[j, i] / (c_i * KAPPA)) where c_i is the largest
     absolute indicator value against individual i, so each individual's
@@ -146,7 +184,7 @@ def _indicator_fitness(objs: np.ndarray) -> np.ndarray:
     everything (an isolated extreme) collects a near-zero sum; one covered
     tightly by neighbors or dominators collects a large one.
     """
-    e = _pairwise_indicator(_normalize_objs(objs))
+    e = _pairwise_indicator(_normalize_objs(objs), work=work)
     c = np.maximum(e.max(axis=0), -e.min(axis=0))
     c[c == 0.0] = 1.0
     # in place: I / (-s) and -(I / s) round alike
@@ -156,7 +194,8 @@ def _indicator_fitness(objs: np.ndarray) -> np.ndarray:
     return e
 
 
-def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int):
+def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int,
+                work=None):
     """Remove worst individuals until n_keep remain.
 
     Constraint layer first: while any (effectively) infeasible individual
@@ -165,7 +204,9 @@ def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int):
     occurrence breaking exact ties. Returns (alive indices in original
     order, fitness after all removals, removal order). Normalization and
     indicator scaling are fixed at entry; removals only subtract each
-    removed individual's contribution terms.
+    removed individual's contribution terms. The (n, n) matrices live in
+    work, a _workspace of at least n rows, or are allocated per call when
+    work is None.
 
     The running sums are compensated (Neumaier): the exponential terms
     span ~9 orders of magnitude, and both the initial accumulation and
@@ -183,15 +224,17 @@ def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int):
     which differs from the sequential float64 sum in the last bit on some
     real pools, and fitness is the tournament key, so fronts would
     change. Each removal subtracts the removed row by TwoSum, which gives
-    the same exact error as the Neumaier branch; dead rows sit at -inf
-    in the argmax key, and the violation key is read only while an
-    infeasible row is alive.
+    the same exact error as the Neumaier branch. The argmax key is
+    fitness plus a dead vector, 0.0 for a live row and -inf for a removed
+    one: x + 0.0 is x, and fitness is always finite (each term lies in
+    [e^-20, e^20]). The violation key is read only while an infeasible
+    row is alive.
     """
     n = objs.shape[0]
-    e = _indicator_fitness(objs)
-    run = np.cumsum(e, axis=0)
+    e = _indicator_fitness(objs, work)
+    run = np.cumsum(e, axis=0, out=_buffer(work, 1, n, n))
     fit = run[-1].copy()
-    err = np.maximum(run[:-1], e[1:])
+    err = np.maximum(run[:-1], e[1:], out=_buffer(work, 2, n - 1, n))
     err -= run[1:]
     err += np.minimum(run[:-1], e[1:], out=run[:-1])
     comp = err.sum(axis=0)
@@ -199,7 +242,7 @@ def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int):
     veff = _effective_violation(viol)
     n_infeasible = int((veff > 0.0).sum())
     vkey = veff.copy()
-    alive = np.ones(n, dtype=bool)
+    dead = np.zeros(n)
     key = fit + comp
     removal_order = []
     for _ in range(n - n_keep):
@@ -208,16 +251,16 @@ def _env_select(objs: np.ndarray, viol: np.ndarray, n_keep: int):
             n_infeasible -= bool(veff[worst] > 0.0)
         else:
             worst = int(key.argmax())
-        alive[worst] = False
-        key[worst] = vkey[worst] = -np.inf
+        dead[worst] = vkey[worst] = -np.inf
         removal_order.append(worst)
         # TwoSum of fit and -e[worst]: t + error is exact
         t = fit - e[worst]
         bv = t - fit
         comp += (fit - (t - bv)) - (e[worst] + bv)
         fit = t
-        np.add(fit, comp, out=key, where=alive)
-    return np.flatnonzero(alive), fit + comp, removal_order
+        np.add(fit, comp, out=key)
+        key += dead
+    return np.flatnonzero(dead == 0.0), fit + comp, removal_order
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +424,12 @@ def _ranks_and_crowding(objs: np.ndarray, viol: np.ndarray):
 # their tournament key, lower winning.
 # ---------------------------------------------------------------------------
 
-def _indicator_select(objs: np.ndarray, viol: np.ndarray, ecfg: EngineConfig):
+def _indicator_select(objs: np.ndarray, viol: np.ndarray, ecfg: EngineConfig,
+                      work=None):
     """IDBEA/IBEA: indicator-based selection down to the pool size, then
     (IDBEA) the crowding stage down to N. Key: (effective violation,
-    fitness).
+    fitness). work is the _workspace the indicator stage computes in, or
+    None to allocate per call.
 
     With one objective, fitness rises strictly with cost in exact
     arithmetic, so this is a sort: the best N by (effective violation,
@@ -399,9 +444,9 @@ def _indicator_select(objs: np.ndarray, viol: np.ndarray, ecfg: EngineConfig):
     crowd = ecfg.algorithm == "IDBEA"
     n_pool = int(np.ceil(n / ARCHIVE_KEEP_FRACTION)) if crowd else n
     if objs.shape[0] > n_pool:
-        alive, fit, _ = _env_select(objs, viol, n_pool)
+        alive, fit, _ = _env_select(objs, viol, n_pool, work)
     else:
-        fit = _indicator_fitness(objs).sum(axis=0)
+        fit = _indicator_fitness(objs, work).sum(axis=0)
         alive = np.arange(objs.shape[0])
     if alive.shape[0] > n:
         alive = alive[_crowding_truncate(objs[alive], viol[alive], n)]
@@ -504,11 +549,14 @@ def run(system: SystemDefinition, ecfg: EngineConfig,
     the first non-dominated front of the final survivors."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    select = _nsga2_select if ecfg.algorithm == "NSGA2" else _indicator_select
-    rng = np.random.default_rng(ecfg.rng_seed)
-    lower, upper = system.gene_bounds()
     n_objs = 1 if mode == "chped" else 2
     n = ecfg.population_size
+    select = _nsga2_select
+    if ecfg.algorithm != "NSGA2":
+        # every pool after the first holds 2N rows
+        select = partial(_indicator_select, work=_workspace(2 * n))
+    rng = np.random.default_rng(ecfg.rng_seed)
+    lower, upper = system.gene_bounds()
     ev = evaluate_batch(rng.random((n, system.n_genes)) * (upper - lower)
                         + lower, system)
     genes, objs, viol = ev.genes, _raw_objs(ev, n_objs), ev.violation

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 HV_REFERENCE = (1.1, 1.1)
+# significance level of every Wilcoxon test the reports make
+WILCOXON_ALPHA = 0.05
 _EXACT_WILCOXON_MAX_N = 20
 
 
@@ -192,19 +194,17 @@ def _exact_small_tail(double_ranks: np.ndarray, double_w: int) -> float:
     return float(counts[:double_w + 1].sum() / counts.sum())
 
 
-def wilcoxon_signed_rank(paired_samples, alpha: float = 0.05,
-                         ) -> tuple[float, bool]:
+def wilcoxon_signed_rank(paired_samples) -> tuple[float, bool]:
     """Two-sided Wilcoxon signed-rank test on paired scalars.
 
     Zero differences are dropped; ties get average ranks. Exact null
     distribution up to 20 effective pairs, normal approximation with tie
-    correction and continuity correction beyond. Returns (p, p < alpha).
+    correction and continuity correction beyond. Returns
+    (p, p < WILCOXON_ALPHA).
     """
     pairs = np.asarray(list(paired_samples), float)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("paired_samples must be a sequence of (a, b) pairs")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
     diffs = pairs[:, 0] - pairs[:, 1]
     diffs = diffs[diffs != 0.0]
     n = diffs.shape[0]
@@ -238,4 +238,4 @@ def wilcoxon_signed_rank(paired_samples, alpha: float = 0.05,
         var -= (tie_counts.astype(float) ** 3 - tie_counts).sum() / 48.0
         z = (w_small - mu + 0.5) / math.sqrt(var)
         p = min(1.0, math.erfc(-z / math.sqrt(2.0)))
-    return p, p < alpha
+    return p, p < WILCOXON_ALPHA

@@ -412,6 +412,34 @@ def indicator_pair_bruteforce(a, b, ref=None):
     return _pair_union_volume(a, b, ref) - _single_box_volume(a, ref)
 
 
+def pairwise_indicator_ref_max(nobjs, ref=1.1):
+    """The engine's I[j, i] matrix on normalized objectives, one pair at a
+    time in Python floats, with each overlap side formed as
+    ref - max(a, b) and the products taken in objective order, as the
+    engine formed them before its overlap used min(ref - a, ref - b).
+    I[j, i] = vol(i) - vol(j) when j weakly dominates i, else
+    vol(i) - overlap(j, i)."""
+    rows = np.asarray(nobjs, float).tolist()
+    vols = []
+    for a in rows:
+        v = ref - a[0]
+        for x in a[1:]:
+            v = v * (ref - x)
+        vols.append(v)
+    n = len(rows)
+    ind = np.empty((n, n))
+    for j, a in enumerate(rows):
+        for i, b in enumerate(rows):
+            if all(x <= y for x, y in zip(a, b)):
+                ind[j, i] = vols[i] - vols[j]
+                continue
+            overlap = ref - max(a[0], b[0])
+            for x, y in zip(a[1:], b[1:]):
+                overlap = overlap * (ref - max(x, y))
+            ind[j, i] = vols[i] - overlap
+    return ind
+
+
 def _normalized_indicator_matrix(objectives):
     objs = np.asarray(objectives, float)
     lo = objs.min(axis=0)

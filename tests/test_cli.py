@@ -6,6 +6,8 @@ import json
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -1011,6 +1013,19 @@ class TestMain:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_python_dash_m_runs_main_without_warnings(self):
+        # the package imports cli, so only a __main__ module gives a clean
+        # python3 -m entry point
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-m", "chpdispatch", "--help"],
+                             capture_output=True, text=True, env=env,
+                             timeout=60)
+        assert out.returncode == 0
+        assert "{run,report}" in out.stdout
+        assert "RuntimeWarning" not in out.stderr
+
     @pytest.mark.parametrize("argv", [
         ["metrics", "runs/demo"], ["eaf", "runs/demo"],
         ["compare", "runs/demo/IDBEA", "runs/demo/IBEA"],
@@ -1018,7 +1033,7 @@ class TestMain:
     ], ids=["metrics", "eaf", "compare", "report-alpha"])
     def test_retired_subcommands_and_options_refused(self, argv):
         # report writes every table these wrote, at fixed EAF levels and
-        # the default Wilcoxon alpha; argparse refuses before any file is
+        # the fixed Wilcoxon alpha; argparse refuses before any file is
         # read
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from chpdispatch.engine import (
     _ranks_and_crowding,
     _spawn_children,
     _tournament,
+    _workspace,
 )
 
 import oracles
@@ -87,6 +89,45 @@ def _cost_pools(draw):
     viol = draw(st.lists(_GRID_VIOLATIONS, min_size=n, max_size=n))
     return (np.array(costs)[:, None], np.array(viol),
             2 * draw(st.integers(2, n // 2)))
+
+
+@st.composite
+def _normalized_pools(draw):
+    """Normalized (n, m) objectives, n 2 to 64 and m 2 or 3, drawn from a
+    few distinct points on a 1-decimal grid or in [0, 1], so ties and
+    exact duplicates are common; sometimes one objective column holds a
+    single value."""
+    n = draw(st.integers(2, 64))
+    m = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        value = st.integers(0, 10).map(lambda k: k / 10)
+    else:
+        value = st.floats(0.0, 1.0)
+    points = draw(st.lists(st.tuples(*[value] * m), min_size=1, max_size=n))
+    rows = draw(st.lists(st.integers(0, len(points) - 1), min_size=n,
+                         max_size=n))
+    objs = np.array([points[r] for r in rows], float)
+    if draw(st.booleans()):
+        objs[:, draw(st.integers(0, m - 1))] = draw(value)
+    return engine._normalize_objs(objs)
+
+
+def _system3_pool():
+    """The 400-row objective pool of the one environmental selection in a
+    seeded system3 IDBEA run of N=200 and 400 evaluations."""
+    pools = []
+    select = engine._env_select
+
+    def spy(objs, *args):
+        pools.append(objs)
+        return select(objs, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_env_select", spy)
+        run(load_system("system3"), EngineConfig(max_evaluations=400,
+                                                 rng_seed=1))
+    (objs,) = pools
+    return objs
 
 
 def _cfg(**kw):
@@ -299,6 +340,22 @@ class TestIndicator:
             want = oracles.indicator_pair_bruteforce(a, b)
             assert got == pytest.approx(want, abs=1e-12)
 
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=300)
+    @given(nobjs=_normalized_pools())
+    def test_min_overlap_matches_ref_max_bit_for_bit(self, nobjs):
+        got = engine._pairwise_indicator(nobjs)
+        want = oracles.pairwise_indicator_ref_max(nobjs)
+        assert got.tobytes() == want.tobytes()
+
+    def test_min_overlap_matches_ref_max_on_a_system3_pool(self):
+        objs = _system3_pool()
+        assert objs.shape == (400, 2)
+        nobjs = engine._normalize_objs(objs)
+        got = engine._pairwise_indicator(nobjs, work=_workspace(400))
+        want = oracles.pairwise_indicator_ref_max(nobjs)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestFitness:
     def test_identical_individuals_equal_fitness(self):
@@ -437,6 +494,39 @@ class TestEnvironmentalSelection:
         assert alive.tolist() == want_alive.tolist()
         assert removed == want_removed
         assert fit[alive].tobytes() == want_fit[alive].tobytes()
+
+    def test_reused_workspace_matches_fresh_arrays(self):
+        # one workspace over pools of different content and size; stale
+        # entries of a larger pool must not leak into a smaller one
+        rng = np.random.default_rng(83)
+        work = _workspace(400)
+        for n in (400, 12, 400):
+            points = rng.random((n // 2, 2))
+            objs = points[rng.integers(0, n // 2, n)]
+            viol = np.where(rng.random(n) < 0.2, rng.random(n), 0.0)
+            n_keep = n * 5 // 8
+            alive, fit, removed = _env_select(objs, viol, n_keep, work)
+            want_alive, want_fit, want_removed = _env_select(objs, viol,
+                                                             n_keep)
+            assert alive.tolist() == want_alive.tolist()
+            assert removed == want_removed
+            assert fit[alive].tobytes() == want_fit[alive].tobytes()
+            assert _indicator_fitness(objs, work).tobytes() == \
+                _indicator_fitness(objs).tobytes()
+
+    def test_warm_call_with_workspace_allocates_no_square_matrix(self):
+        rng = np.random.default_rng(89)
+        objs = rng.random((400, 2))
+        viol = np.where(rng.random(400) < 0.2, rng.random(400), 0.0)
+        work = _workspace(400)
+        _env_select(objs, viol, 250, work)
+        tracemalloc.start()
+        try:
+            _env_select(objs, viol, 250, work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 400 * 8
 
 
 class TestCrowding:
@@ -801,9 +891,9 @@ class TestSetup:
                 seen.append(genes)
                 return evaluate_batch(genes, *args)
 
-            def select_spy(objs, viol, ecfg):
+            def select_spy(objs, viol, ecfg, **kw):
                 seen.append((objs, viol))
-                return select(objs, viol, ecfg)
+                return select(objs, viol, ecfg, **kw)
 
             monkeypatch.setattr(engine, "evaluate_batch", evaluate_spy)
             monkeypatch.setattr(engine, "_indicator_select", select_spy)
