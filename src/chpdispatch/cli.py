@@ -16,6 +16,7 @@ them byte for byte.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -423,33 +424,41 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None,
 # ---------------------------------------------------------------------------
 
 def _metric_rows(fronts, system_id: str):
-    """hv/spread rows of every run, on the union bounds of all fronts."""
-    bounds = NormalizationBounds.from_fronts(
-        [f for runs in fronts.values() for f in runs.values()])
+    """hv/spread rows of every run, on the union bounds of all fronts. An
+    objective with one value on every front leaves no range to normalize
+    by, and is refused by name."""
+    runs = [f for by_seed in fronts.values() for f in by_seed.values()]
+    pts = np.vstack([f.objectives for f in runs])
+    for name, lo, hi in zip(("cost", "emission"), pts.min(0), pts.max(0)):
+        if lo == hi:
+            raise ValueError(f"{name} is {float(lo)!r} on every front: hv "
+                             f"and spread are undefined for a flat {name}")
+    bounds = NormalizationBounds.from_fronts(runs)
     return [(system_id, alg, seed, hv_metric(front, bounds),
              spread_delta(front, bounds))
             for alg in sorted(fronts)
             for seed, front in sorted(fronts[alg].items())]
 
 
-def _compare_rows(fronts):
-    """Paired hv/spread Wilcoxon rows for every algorithm pair sharing seeds."""
-    algs = sorted(fronts)
+def _compare_rows(metric_rows):
+    """Paired Wilcoxon rows over the metric rows' own hv and spread values:
+    one per algorithm pair and metric with at least two shared seeds where
+    both values are defined (a one-point front has no spread)."""
+    scores = {}
+    for _, alg, seed, *values in metric_rows:
+        scores.setdefault(alg, {})[seed] = values
     out = []
-    for i, a in enumerate(algs):
-        for b in algs[i + 1:]:
-            seeds = sorted(set(fronts[a]) & set(fronts[b]))
-            if len(seeds) < 2:
+    for a, b in itertools.combinations(sorted(scores), 2):
+        seeds = sorted(set(scores[a]) & set(scores[b]))
+        for j, metric in enumerate(("hv", "spread")):
+            pairs = [(scores[a][s][j], scores[b][s][j]) for s in seeds]
+            pairs = [pair for pair in pairs if None not in pair]
+            if len(pairs) < 2:
                 continue
-            paired = [(fronts[a][s], fronts[b][s]) for s in seeds]
-            bounds = NormalizationBounds.from_fronts(
-                [f for pair in paired for f in pair])
-            for metric, fn in (("hv", hv_metric), ("spread", spread_delta)):
-                pairs = [(fn(fa, bounds), fn(fb, bounds)) for fa, fb in paired]
-                p, reject = wilcoxon_signed_rank(pairs)
-                mean_a = float(np.mean([x for x, _ in pairs]))
-                mean_b = float(np.mean([y for _, y in pairs]))
-                out.append((a, b, metric, len(seeds), mean_a, mean_b, p, reject))
+            p, reject = wilcoxon_signed_rank(pairs)
+            mean_a = float(np.mean([x for x, _ in pairs]))
+            mean_b = float(np.mean([y for _, y in pairs]))
+            out.append((a, b, metric, len(pairs), mean_a, mean_b, p, reject))
     return out
 
 
@@ -505,9 +514,10 @@ def emit_reports(exp_dir) -> list[Path]:
                          "mean_wall_time_s"], summary_rows),
     }
     if two_obj:
+        metric_rows = _metric_rows(fronts, system.name)
         tables["metrics.csv"] = (["system", "algorithm", "seed", "hv",
-                                  "spread"], _metric_rows(fronts, system.name))
-        compare_rows = _compare_rows(fronts)
+                                  "spread"], metric_rows)
+        compare_rows = _compare_rows(metric_rows)
         if compare_rows:
             tables["compare.csv"] = (["algorithm_a", "algorithm_b", "metric",
                                       "n_pairs", "mean_a", "mean_b",

@@ -2,10 +2,11 @@
 spread, empirical attainment surfaces, and the Wilcoxon signed-rank test
 for paired runs.
 
-Normalization bounds are supplied externally (usually the componentwise
-min/max over the union of all compared fronts) so that paired comparisons
-share a basis. Absolute metric values depend on that basis; cross-
-algorithm comparisons on a shared basis do not.
+Normalization bounds are supplied externally. The report uses one basis,
+the componentwise min/max over the union of all of an experiment's
+fronts: every hv and spread value in metrics.csv is on it, and the paired
+comparisons in compare.csv test those same values. Absolute metric values
+depend on the basis; cross-algorithm comparisons on a shared basis do not.
 """
 from __future__ import annotations
 

@@ -21,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 from chpdispatch import (EngineConfig, ExperimentConfig, FrontArchive,
                          NormalizationBounds, SystemLoadError, eaf_surfaces,
                          emit_reports, hv_metric, load_experiment,
-                         load_system, run_experiment, spread_delta)
+                         load_system, run_experiment, spread_delta,
+                         wilcoxon_signed_rank)
 from chpdispatch import cli, constraints
 from chpdispatch.cli import _read_front_csv, _table, _write_front_csv, main
 from chpdispatch.model import cost_batch, emission_batch, loss_batch
@@ -864,6 +865,64 @@ class TestEmitReports:
                 for r in tables["metrics.csv"]} == runs
         assert len(tables["metrics.csv"]) == len(runs)
 
+    @pytest.mark.parametrize("seed_base", [1, 5, 11])
+    def test_compare_is_the_wilcoxon_test_over_metrics(self, tmp_path,
+                                                        seed_base):
+        # with three algorithms a pair's own fronts need not span the union
+        # bounds, so compare.csv agrees with metrics.csv only by testing
+        # the metrics.csv values themselves
+        algs = ("IDBEA", "IBEA", "NSGA2")
+        cfg = ExperimentConfig(
+            experiment_id="three", system="system2", repetitions=3,
+            seed_base=seed_base,
+            algorithms=tuple(EngineConfig(algorithm=a, **TINY) for a in algs))
+        run_experiment(cfg, base_dir=tmp_path)
+        exp_dir = tmp_path / "three"
+        emit_reports(exp_dir)
+        scores = {}
+        with open(exp_dir / "metrics.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                scores[row["algorithm"], int(row["seed"])] = {
+                    m: float(row[m]) if row[m] else None
+                    for m in ("hv", "spread")}
+        with open(exp_dir / "compare.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["algorithm_a"], r["algorithm_b"], r["metric"])
+                for r in rows] == [(a, b, m) for a, b in
+                                   (("IBEA", "IDBEA"), ("IBEA", "NSGA2"),
+                                    ("IDBEA", "NSGA2"))
+                                   for m in ("hv", "spread")]
+        seeds = range(seed_base, seed_base + 3)
+        for row in rows:
+            a, b, m = row["algorithm_a"], row["algorithm_b"], row["metric"]
+            pairs = [(scores[a, s][m], scores[b, s][m]) for s in seeds]
+            assert all(None not in pair for pair in pairs)
+            p, reject = wilcoxon_signed_rank(pairs)
+            means = [float(np.mean(side)) for side in zip(*pairs)]
+            assert int(row["n_pairs"]) == 3
+            assert [float(row["mean_a"]), float(row["mean_b"])] == means
+            assert float(row["p_value"]) == p
+            assert row["reject"] == str(reject)
+
+    def test_each_front_scored_once(self, paired_reports, monkeypatch):
+        # compare.csv reuses the metrics.csv values: no front is scored
+        # a second time on other bounds
+        exp_dir, _ = paired_reports
+        calls = {"hv_metric": 0, "spread_delta": 0}
+
+        def counted(name):
+            fn = getattr(cli, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        emit_reports(exp_dir)
+        assert calls == {"hv_metric": 6, "spread_delta": 6}
+
     def test_each_front_read_once(self, paired_reports, monkeypatch):
         exp_dir, _ = paired_reports
         reads = []
@@ -935,6 +994,38 @@ class TestMain:
         capsys.readouterr()
         assert (work / "metrics.csv").exists()
         assert not (work / "compare.csv").exists()
+
+    def test_one_point_front_drops_only_its_spread_pair(self, paired_reports,
+                                                        tmp_path, capsys):
+        # a one-point front has hv but no spread: its seed leaves the
+        # spread test and stays in the hv test
+        exp_dir, _ = paired_reports
+        work = tmp_path / "copy"
+        shutil.copytree(exp_dir, work)
+        cut = work / "IDBEA" / "IDBEA_seed6.csv"
+        cut.write_text("".join(cut.read_text().splitlines(True)[:2]))
+        assert main(["report", str(work)]) == 0
+        capsys.readouterr()
+        with open(work / "metrics.csv", newline="") as fh:
+            spreads = {(r["algorithm"], r["seed"]): r["spread"]
+                       for r in csv.DictReader(fh)}
+        assert spreads["IDBEA", "6"] == ""
+        with open(work / "compare.csv", newline="") as fh:
+            n_pairs = {r["metric"]: int(r["n_pairs"])
+                       for r in csv.DictReader(fh)}
+        assert n_pairs == {"hv": 3, "spread": 2}
+
+    def test_flat_objective_refused_by_name(self, tmp_path, capsys):
+        # every emission coefficient of system1 is 0, so no bounds span
+        # its emission
+        cfg = ExperimentConfig(
+            experiment_id="flat", system="system1", repetitions=2,
+            algorithms=(EngineConfig(algorithm="IDBEA", **TINY),))
+        run_experiment(cfg, base_dir=tmp_path)
+        assert main(["report", str(tmp_path / "flat")]) == 2
+        err = capsys.readouterr().err
+        assert "error: emission is 0.0 on every front" in err
+        assert "hv and spread are undefined" in err
 
     def test_eaf_needs_two_runs_per_algorithm(self, paired_reports, tmp_path,
                                               capsys):
