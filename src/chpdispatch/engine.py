@@ -21,6 +21,9 @@ also returns the survivors' tournament key, lower winning:
 - NSGA2: whole fronts best rank first, the boundary front cut by
   crowding. Key: (rank, -crowding).
 
+Each reads the fronts from one vector of constraint-aware ranks
+(_fast_nds), and so does the final front, the rows of rank 0.
+
 Fitness orientation: each individual accumulates exp(-I/(c*KAPPA)) over
 the scaled pairwise hypervolume indicator values against it, so dominated
 individuals collect large sums and the worst individual is the argmax.
@@ -42,7 +45,8 @@ reproduces the stored objectives exactly.
 
 Single-objective mode ("chped") runs the same loop on the cost axis alone;
 dominance degenerates to scalar comparison, indicator selection to a sort
-by (violation, cost), and the crowding stage is skipped.
+by (violation, cost), and the crowding stage is skipped, so IDBEA and
+IBEA are one solver there.
 """
 from __future__ import annotations
 
@@ -62,6 +66,8 @@ CROSSOVER_PROB = 0.9
 SBX_ETA = 20.0
 PM_ETA = 20.0
 KAPPA = 0.05
+# reference point of the pairwise indicator on normalized objectives
+INDICATOR_REF = 1.1
 # IDBEA: share of the indicator-selected pool the crowding stage keeps
 ARCHIVE_KEEP_FRACTION = 0.8
 _ALGORITHMS = ("IDBEA", "IBEA", "NSGA2")
@@ -141,29 +147,28 @@ def _buffer(work, k: int, rows: int, cols: int) -> np.ndarray:
     return work[k][:rows * cols].reshape(rows, cols)
 
 
-def _pairwise_indicator(nobjs: np.ndarray, ref: float = 1.1,
-                        work=None) -> np.ndarray:
+def _pairwise_indicator(nobjs: np.ndarray, work=None) -> np.ndarray:
     """I[j, i] = indicator of singleton j against singleton i, on
     normalized objectives. Generic in the number of objectives; the terms
     are built one objective column at a time from (n, n) matrices, which
     avoids (n, n, m) temporaries. The result lies in buffer 0 of work.
 
-    Each overlap side is min(ref - a, ref - b): one np.minimum of the
-    (ref - col) vector against itself, not a maximum and then a
-    subtraction. It equals ref - max(a, b) bit for bit: rounding to
-    nearest is monotone, so the larger value always gives the smaller
-    rounded difference."""
+    With ref = INDICATOR_REF, each overlap side is min(ref - a, ref - b):
+    one np.minimum of the (ref - col) vector against itself, not a maximum
+    and then a subtraction. It equals ref - max(a, b) bit for bit:
+    rounding to nearest is monotone, so the larger value always gives the
+    smaller rounded difference."""
     n = nobjs.shape[0]
     overlap = _buffer(work, 0, n, n)
     tmp = _buffer(work, 1, n, n)
     weak = _buffer(work, 3, n, n)
     le = _buffer(work, 4, n, n)
     col = nobjs[:, 0]
-    ih = ref - col
+    ih = INDICATOR_REF - col
     np.minimum(ih[:, None], ih[None, :], out=overlap)
     np.less_equal(col[:, None], col[None, :], out=weak)
     for col in nobjs.T[1:]:
-        side = ref - col
+        side = INDICATOR_REF - col
         ih = ih * side
         overlap *= np.minimum(side[:, None], side[None, :], out=tmp)
         weak &= np.less_equal(col[:, None], col[None, :], out=le)
@@ -298,23 +303,19 @@ def _crowding_truncate(objs: np.ndarray, viol: np.ndarray,
     keeps.
 
     Whole constraint-aware fronts go worst rank first; removing rows from
-    the worst front never changes the ranks of the others, so the fronts
-    are computed once. Inside the boundary front the least-crowded row
-    goes (the first one on ties), crowding is brought up to date over the
-    rows left in that front, and the step repeats. Both per-objective
-    extremes of the boundary front carry infinite crowding and so outlast
-    every interior row.
+    the worst front never changes the ranks of the others, so the ranks
+    are computed once. The boundary front holds the n_keep-th row in rank
+    order. Inside it the least-crowded row goes (the first one on ties),
+    crowding is brought up to date over the rows left in that front, and
+    the step repeats. Both per-objective extremes of the boundary front
+    carry infinite crowding and so outlast every interior row.
     """
-    kept: list[np.ndarray] = []
-    room = n_keep
-    for idx in _fast_nds(objs, viol):
-        if idx.shape[0] > room:
-            idx = idx[_crowding_prune(objs[idx], room)]
-        kept.append(idx)
-        room -= idx.shape[0]
-        if room == 0:
-            break
-    return np.sort(np.concatenate(kept))
+    rank = _fast_nds(objs, viol)
+    cut = np.sort(rank)[n_keep - 1]
+    keep = rank < cut
+    edge = np.flatnonzero(rank == cut)
+    keep[edge[_crowding_prune(objs[edge], n_keep - int(keep.sum()))]] = True
+    return np.flatnonzero(keep)
 
 
 def _crowding_prune(objs: np.ndarray, n_keep: int) -> np.ndarray:
@@ -372,10 +373,11 @@ def _crowding_prune(objs: np.ndarray, n_keep: int) -> np.ndarray:
     return alive
 
 
-def _fast_nds(objs: np.ndarray, viol: np.ndarray) -> list:
-    """Ranked fronts as ascending index arrays, constraint-aware, for one
-    or two objectives, by sorting (Kung, Luccio & Preparata 1975; Jensen
-    2003) instead of a pairwise domination matrix.
+def _fast_nds(objs: np.ndarray, viol: np.ndarray) -> np.ndarray:
+    """Constraint-aware front rank of each row, 0 for the first front, as
+    an (n,) int64 array, for one or two objectives, by sorting (Kung,
+    Luccio & Preparata 1975; Jensen 2003) instead of a pairwise domination
+    matrix. Front k is np.flatnonzero(rank == k).
 
     A lower effective violation dominates outright, so the rows go in
     groups of equal violation, lowest first, and a group's fronts follow
@@ -404,18 +406,7 @@ def _fast_nds(objs: np.ndarray, viol: np.ndarray) -> list:
         ranks.append(base + f)
     rank = np.empty(n, dtype=np.int64)
     rank[order] = ranks
-    return np.split(np.argsort(rank, kind="stable"),
-                    np.cumsum(np.bincount(rank))[:-1])
-
-
-def _ranks_and_crowding(objs: np.ndarray, viol: np.ndarray):
-    """Constraint-aware fronts, plus each row's front rank and its
-    crowding distance within its front."""
-    fronts = _fast_nds(objs, viol)
-    ranks = np.empty(objs.shape[0], dtype=np.int64)
-    ranks[np.concatenate(fronts)] = np.repeat(
-        np.arange(len(fronts)), [idx.shape[0] for idx in fronts])
-    return fronts, ranks, _crowding(objs, ranks)
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +419,14 @@ def _indicator_select(objs: np.ndarray, viol: np.ndarray, ecfg: EngineConfig,
                       work=None):
     """IDBEA/IBEA: indicator-based selection down to the pool size, then
     (IDBEA) the crowding stage down to N. Key: (effective violation,
-    fitness). work is the _workspace the indicator stage computes in, or
-    None to allocate per call.
+    fitness). The first pool, no larger than the pool size, goes through
+    _env_select with no removal. work is the _workspace the indicator
+    stage computes in, or None to allocate per call.
 
     With one objective, fitness rises strictly with cost in exact
     arithmetic, so this is a sort: the best N by (effective violation,
-    cost) stay, the higher index on exact ties, and cost is the key.
+    cost) stay, the higher index on exact ties, and cost is the key. The
+    algorithm is not read: in chped mode IDBEA and IBEA are one solver.
     """
     n = ecfg.population_size
     if objs.shape[1] == 1:
@@ -443,11 +436,8 @@ def _indicator_select(objs: np.ndarray, viol: np.ndarray, ecfg: EngineConfig,
         return alive, veff[alive], objs[alive, 0]
     crowd = ecfg.algorithm == "IDBEA"
     n_pool = int(np.ceil(n / ARCHIVE_KEEP_FRACTION)) if crowd else n
-    if objs.shape[0] > n_pool:
-        alive, fit, _ = _env_select(objs, viol, n_pool, work)
-    else:
-        fit = _indicator_fitness(objs, work).sum(axis=0)
-        alive = np.arange(objs.shape[0])
+    alive, fit, _ = _env_select(objs, viol, min(n_pool, objs.shape[0]),
+                                work)
     if alive.shape[0] > n:
         alive = alive[_crowding_truncate(objs[alive], viol[alive], n)]
     return alive, _effective_violation(viol[alive]), fit[alive]
@@ -455,19 +445,15 @@ def _indicator_select(objs: np.ndarray, viol: np.ndarray, ecfg: EngineConfig,
 
 def _nsga2_select(objs: np.ndarray, viol: np.ndarray, ecfg: EngineConfig):
     """NSGA2: whole fronts best rank first, the boundary front cut by
-    descending crowding (first rows on ties). Key: (rank, -crowding)."""
+    descending crowding (first rows on ties). Key: (rank, -crowding).
+    Whole fronts stay in index order: the tournament draws positions."""
     n = ecfg.population_size
-    fronts, ranks, crowd = _ranks_and_crowding(objs, viol)
-    chosen: list[int] = []
-    for idx in fronts:
-        if len(chosen) + idx.shape[0] <= n:
-            chosen.extend(idx.tolist())
-        else:
-            order = np.argsort(-crowd[idx], kind="stable")
-            chosen.extend(idx[order[:n - len(chosen)]].tolist())
-            break
-    pick = np.array(chosen)
-    return pick, ranks[pick], -crowd[pick]
+    rank = _fast_nds(objs, viol)
+    crowd = _crowding(objs, rank)
+    # the rank of the first row left out (none: past every rank)
+    cut = np.append(np.sort(rank), rank.max() + 1)[n]
+    pick = np.lexsort((np.where(rank < cut, 0.0, -crowd), rank))[:n]
+    return pick, rank[pick], -crowd[pick]
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +516,7 @@ def _raw_objs(ev, n_objs: int) -> np.ndarray:
 
 
 def _make_front(genes, raw, viol, evals) -> FrontArchive:
-    fronts = _fast_nds(raw, viol)
-    keep = fronts[0]
+    keep = np.flatnonzero(_fast_nds(raw, viol) == 0)
     genes, raw, viol = genes[keep], raw[keep], viol[keep]
     _, first = np.unique(genes, axis=0, return_index=True)
     keep = np.sort(first)

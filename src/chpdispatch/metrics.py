@@ -213,16 +213,10 @@ def wilcoxon_signed_rank(paired_samples) -> tuple[float, bool]:
         return 1.0, False
 
     mag = np.abs(diffs)
-    order = np.argsort(mag, kind="stable")
-    ranks = np.empty(n)
-    sorted_mag = mag[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_mag[j + 1] == sorted_mag[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, inverse, counts = np.unique(mag, return_inverse=True,
+                                   return_counts=True)
+    # a tie group's average rank: its last 1-based rank less half its width
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
     w_plus = float(ranks[diffs > 0].sum())
     w_minus = float(ranks[diffs < 0].sum())
@@ -235,8 +229,7 @@ def wilcoxon_signed_rank(paired_samples) -> tuple[float, bool]:
     else:
         mu = n * (n + 1) / 4.0
         var = n * (n + 1) * (2 * n + 1) / 24.0
-        _, tie_counts = np.unique(mag, return_counts=True)
-        var -= (tie_counts.astype(float) ** 3 - tie_counts).sum() / 48.0
+        var -= (counts.astype(float) ** 3 - counts).sum() / 48.0
         z = (w_small - mu + 0.5) / math.sqrt(var)
         p = min(1.0, math.erfc(-z / math.sqrt(2.0)))
     return p, p < WILCOXON_ALPHA

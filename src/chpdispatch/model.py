@@ -453,16 +453,24 @@ _LOSS_NDIM = {"enabled": None, "scale_b": 0, "scale_b0": 0, "b": 2, "b0": 1,
 _SHAPES = ("a number", "a list of numbers", "a matrix of numbers")
 
 
-def _require_finite(label: str, value, ndim: int = 0) -> None:
-    """Refuse a value that is not a finite number (ndim 0) or an ndim-deep
-    rectangular array of them; JSON true, false and strings are not
-    numbers."""
+def _numbers(value, ndim: int):
+    """value as an array if it is a number (ndim 0) or an ndim-deep
+    rectangular list of numbers, else None; JSON true, false and strings
+    are not numbers, also in a list numpy would read as numbers."""
     try:
         a = np.asarray(value)
     except ValueError:            # a ragged list
-        a = None
-    if a is None or a.ndim != ndim or a.dtype.kind not in "iuf" \
-            or not np.isfinite(a).all():
+        return None
+    bools = any(type(x) is bool for x in np.asarray(value, object).flat)
+    return a if a.ndim == ndim and a.dtype.kind in "iuf" and not bools \
+        else None
+
+
+def _require_finite(label: str, value, ndim: int = 0) -> None:
+    """Refuse a value that is not a finite number (ndim 0) or an ndim-deep
+    rectangular array of them."""
+    a = _numbers(value, ndim)
+    if a is None or not np.isfinite(a).all():
         raise SystemLoadError(f"{label} must be finite ({_SHAPES[ndim]})")
 
 
@@ -473,6 +481,8 @@ def _build_unit(entry, cls, label: str):
             _require_finite(f"{label}.{key}", value)
     kwargs = dict(entry)
     if "region" in kwargs:
+        if _numbers(kwargs["region"], 2) is None:
+            raise SystemLoadError(f"{label}.region must be {_SHAPES[2]}")
         try:
             kwargs["region"] = ForPolygon(kwargs["region"])
         except ValueError as exc:

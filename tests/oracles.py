@@ -587,6 +587,32 @@ def crowding_bruteforce(objectives):
     return dist
 
 
+def nsga2_select_front_filling(objectives, violations, n, tol=1e-9):
+    """NSGA2 survivor selection as the engine made it before its ranking
+    was one vector: fronts_domination_matrix's fronts, each with its
+    crowding_bruteforce distances; whole fronts, best first and each in
+    index order, while they fit in n, then the boundary front by
+    descending crowding, the first rows on ties, up to n. Returns (picked
+    indices in survivor order, their ranks, their negated crowding)."""
+    objs = np.asarray(objectives, float)
+    fronts = fronts_domination_matrix(objs, violations, tol)
+    rank = np.empty(objs.shape[0], dtype=np.int64)
+    crowd = np.empty(objs.shape[0])
+    for r, idx in enumerate(fronts):
+        rank[idx] = r
+        crowd[idx] = crowding_bruteforce(objs[idx])
+    chosen = []
+    for idx in fronts:
+        if len(chosen) + len(idx) <= n:
+            chosen.extend(idx.tolist())
+        else:
+            order = np.argsort(-crowd[idx], kind="stable")
+            chosen.extend(idx[order[:n - len(chosen)]].tolist())
+            break
+    pick = np.array(chosen)
+    return pick, rank[pick], -crowd[pick]
+
+
 def crowding_truncate_recompute(objectives, fronts, n_keep):
     """Keep n_keep rows: whole fronts (index arrays, best first) while they
     fit, then cut the boundary front one row at a time, removing the row

@@ -216,8 +216,9 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(79)
         for _ in range(20):
             objs = rng.random((int(rng.integers(1, 40)), 2)).round(2)
-            got = [sorted(f.tolist())
-                   for f in _fast_nds(objs, np.zeros(objs.shape[0]))]
+            rank = _fast_nds(objs, np.zeros(objs.shape[0]))
+            got = [sorted(np.flatnonzero(rank == r).tolist())
+                   for r in range(rank.max() + 1)]
             want = [sorted(f)
                     for f in oracles.nondominated_fronts_bruteforce(objs)]
             assert got == want

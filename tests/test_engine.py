@@ -28,7 +28,7 @@ from chpdispatch.engine import (
     _indicator_fitness,
     _indicator_select,
     _make_front,
-    _ranks_and_crowding,
+    _nsga2_select,
     _spawn_children,
     _tournament,
     _workspace,
@@ -112,9 +112,35 @@ def _normalized_pools(draw):
     return engine._normalize_objs(objs)
 
 
+def _fronts(rank):
+    """The fronts of a rank vector as ascending index arrays, best first."""
+    return [np.flatnonzero(rank == r) for r in range(rank.max() + 1)]
+
+
+@st.composite
+def _nsga2_pools(draw):
+    """(objectives, violations, N): a _grid_pools pool cut to an even
+    number of at least 4 rows, and an even N of at least 4 that it holds:
+    the pool's own size (the first generation's pool), the size of its
+    first k fronts (so front k fills the room exactly), or any."""
+    objs, viol = draw(_grid_pools().filter(lambda p: p[0].shape[0] >= 4))
+    n = objs.shape[0] - objs.shape[0] % 2
+    objs, viol = objs[:n], viol[:n]
+    sizes = np.cumsum([f.shape[0] for f in oracles.fronts_domination_matrix(
+        objs, viol, FEASIBILITY_TOL)])
+    fits = [int(k) for k in sizes if k >= 4 and k % 2 == 0]
+    kind = draw(st.sampled_from(["exact", "fits", "any"]))
+    if kind == "exact":
+        return objs, viol, n
+    if kind == "fits" and fits:
+        return objs, viol, draw(st.sampled_from(fits))
+    return objs, viol, 2 * draw(st.integers(2, n // 2))
+
+
 def _system3_pool():
-    """The 400-row objective pool of the one environmental selection in a
-    seeded system3 IDBEA run of N=200 and 400 evaluations."""
+    """The 400-row objective pool of the one environmental selection with
+    removals in a seeded system3 IDBEA run of N=200 and 400 evaluations
+    (the first, 200-row pool goes through it with none)."""
     pools = []
     select = engine._env_select
 
@@ -126,7 +152,7 @@ def _system3_pool():
         mp.setattr(engine, "_env_select", spy)
         run(load_system("system3"), EngineConfig(max_evaluations=400,
                                                  rng_seed=1))
-    (objs,) = pools
+    (objs,) = [p for p in pools if p.shape[0] == 400]
     return objs
 
 
@@ -568,19 +594,21 @@ class TestCrowding:
 
 class TestNondominatedSort:
     def test_mutually_nondominated_is_one_front(self):
-        fronts, ranks, _ = _ranks_and_crowding(
+        ranks = _fast_nds(
             np.array([(0.1, 0.9), (0.5, 0.5), (0.9, 0.1)]), np.zeros(3))
+        fronts = _fronts(ranks)
         assert len(fronts) == 1
         assert ranks.tolist() == [0, 0, 0]
 
     def test_chain_gives_singleton_fronts(self):
-        fronts, ranks, _ = _ranks_and_crowding(
+        ranks = _fast_nds(
             np.array([(0.3, 0.3), (0.2, 0.2), (0.1, 0.1)]), np.zeros(3))
+        fronts = _fronts(ranks)
         assert [len(f) for f in fronts] == [1, 1, 1]
         assert ranks.tolist() == [2, 1, 0]
 
     def test_infeasible_ranked_behind_feasible(self):
-        _, ranks, _ = _ranks_and_crowding(
+        ranks = _fast_nds(
             np.array([(0.5, 0.5), (0.6, 0.6), (0.0, 0.0)]),
             np.array([0.0, 0.0, 3.0]))
         assert ranks[2] > ranks[0]
@@ -588,7 +616,8 @@ class TestNondominatedSort:
 
     def test_crowding_is_computed_within_each_front(self):
         objs = np.array([(1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (5.0, 5.0)])
-        _, ranks, crowd = _ranks_and_crowding(objs, np.zeros(4))
+        ranks = _fast_nds(objs, np.zeros(4))
+        crowd = _crowding(objs, ranks)
         assert ranks.tolist() == [0, 0, 0, 1]
         assert np.array_equal(crowd[:3], _crowding(objs[:3]))
         assert np.isinf(crowd[3])
@@ -598,7 +627,8 @@ class TestNondominatedSort:
         for _ in range(100):
             n = int(rng.integers(1, 51))
             objs = rng.random((n, 2)).round(2)
-            got = [sorted(f.tolist()) for f in _fast_nds(objs, np.zeros(n))]
+            got = [sorted(f.tolist())
+                   for f in _fronts(_fast_nds(objs, np.zeros(n)))]
             want = [sorted(f)
                     for f in oracles.nondominated_fronts_bruteforce(objs)]
             assert got == want
@@ -608,15 +638,50 @@ class TestNondominatedSort:
     @given(pool=_grid_pools())
     def test_sorted_ranks_match_domination_matrix(self, pool):
         objs, viol = pool
-        got = _fast_nds(objs, viol)
+        ranks = _fast_nds(objs, viol)
+        got = _fronts(ranks)
         want = oracles.fronts_domination_matrix(objs, viol, FEASIBILITY_TOL)
         assert [f.tolist() for f in got] == [f.tolist() for f in want]
-        _, ranks, crowd = _ranks_and_crowding(objs, viol)
+        crowd = _crowding(objs, ranks)
         per_front = np.empty(objs.shape[0])
         for r, idx in enumerate(want):
             assert (ranks[idx] == r).all()
             per_front[idx] = oracles.crowding_bruteforce(objs[idx])
         assert np.array_equal(crowd, per_front)
+
+
+class TestNsga2Select:
+    """The survivors' order is the tournament's input: each draw picks a
+    survivor position, so the order must match the front-filling loop's,
+    not just the set of survivors."""
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=400)
+    @given(pool=_nsga2_pools())
+    def test_matches_front_filling_loop(self, pool):
+        objs, viol, n = pool
+        pick, ranks, neg_crowd = _nsga2_select(
+            objs, viol, _cfg(population_size=n))
+        want = oracles.nsga2_select_front_filling(objs, viol, n,
+                                                  FEASIBILITY_TOL)
+        assert pick.tolist() == want[0].tolist()
+        assert ranks.dtype == want[1].dtype
+        assert np.array_equal(ranks, want[1])
+        assert np.array_equal(neg_crowd, want[2])
+
+    def test_only_the_boundary_front_goes_by_crowding(self):
+        # front 0 is rows 1-3 (crowding inf, 2.0, inf) and fits whole, in
+        # index order; front 1 lies on cost + emission = 12 (row 0 at 1.0,
+        # row 4 at 1.5, its two ends rows 5 and 6) and is cut to three
+        # rows by descending crowding
+        objs = np.array([(5.0, 7.0), (1.0, 3.0), (2.0, 2.0), (3.0, 1.0),
+                         (6.0, 6.0), (4.0, 8.0), (8.0, 4.0)])
+        pick, ranks, neg_crowd = _nsga2_select(objs, np.zeros(7),
+                                               _cfg(population_size=6))
+        assert pick.tolist() == [1, 2, 3, 5, 6, 4]
+        assert ranks.tolist() == [0, 0, 0, 1, 1, 1]
+        assert neg_crowd.tolist() == [-np.inf, -2.0, -np.inf, -np.inf,
+                                      -np.inf, -1.5]
 
 
 class TestCostSort:
@@ -636,11 +701,8 @@ class TestCostSort:
         objs, viol, n_keep = pool
         alive, primary, secondary = _indicator_select(
             objs, viol, _cfg(population_size=n_keep))
-        if objs.shape[0] > n_keep:
-            want, fit, _ = _env_select(objs, viol, n_keep)
-        else:
-            want = np.arange(objs.shape[0])
-            fit = _indicator_fitness(objs).sum(axis=0)
+        # n_keep is at most the pool size; at equal size nothing goes
+        want, fit, _ = _env_select(objs, viol, n_keep)
         assert alive.tolist() == want.tolist()
         veff = _effective_violation(viol[alive])
         assert np.array_equal(primary, veff)
@@ -988,7 +1050,7 @@ class TestStepEightPrune:
         objs, viol, n_keep = pool
         keep = _crowding_truncate(objs, viol, n_keep)
         want = oracles.crowding_truncate_recompute(
-            objs, _fast_nds(objs, viol), n_keep)
+            objs, _fronts(_fast_nds(objs, viol)), n_keep)
         assert keep.tolist() == want
 
     def test_all_infinite_crowding_removes_the_first_row(self):

@@ -448,6 +448,22 @@ class TestLoader:
         pytest.param(lambda d: d["heat_units"][0].update(cost_quad=[0.038]),
                      r"heat_units\[0\]\.cost_quad must be finite \(a number\)",
                      id="coefficient-list"),
+        # numpy reads "98.8" in a vertex list as text, and true in a list
+        # of numbers as 1.0
+        pytest.param(lambda d: d["cogen_units"][0]["region"][1].__setitem__(
+                         0, "98.8"),
+                     r"cogen_units\[0\]\.region must be a matrix of numbers",
+                     id="region-string"),
+        pytest.param(lambda d: d["cogen_units"][1]["region"][2].__setitem__(
+                         1, True),
+                     r"cogen_units\[1\]\.region must be a matrix of numbers",
+                     id="region-bool"),
+        pytest.param(lambda d: d["loss"]["b0"].__setitem__(0, True),
+                     r"loss b0 must be finite \(a list of numbers\)",
+                     id="loss-b0-bool"),
+        pytest.param(lambda d: d["loss"]["b"][3].__setitem__(3, False),
+                     r"loss b must be finite \(a matrix of numbers\)",
+                     id="loss-b-bool"),
     ])
     def test_malformed_sections_rejected(self, tmp_path, edit, message):
         data = json.loads(resources.files("chpdispatch.data")
