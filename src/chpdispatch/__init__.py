@@ -8,7 +8,7 @@ from .metrics import (NormalizationBounds, eaf_surfaces, hv_metric,
 from .model import (CogenUnit, DispatchVector, Evaluation, HeatOnlyUnit,
                     LossModel, PowerOnlyUnit, SystemDefinition,
                     SystemLoadError, evaluate, load_system)
-from .cli import (ExperimentConfig, RunRecord, emit_reports, load_experiment,
+from .cli import (ExperimentConfig, emit_reports, load_experiment,
                   run_experiment)
 
 __version__ = "0.1.0"
@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CogenUnit", "DispatchVector", "EngineConfig", "Evaluation",
     "ExperimentConfig", "ForPolygon", "FrontArchive", "HeatOnlyUnit",
-    "LossModel", "NormalizationBounds", "PowerOnlyUnit", "RunRecord",
-    "SystemDefinition", "SystemLoadError", "eaf_surfaces", "emit_reports",
-    "evaluate", "hv_metric", "hypervolume_2d", "load_experiment",
-    "load_system", "repair_batch", "run", "run_experiment", "spread_delta",
+    "LossModel", "NormalizationBounds", "PowerOnlyUnit", "SystemDefinition",
+    "SystemLoadError", "eaf_surfaces", "emit_reports", "evaluate",
+    "hv_metric", "hypervolume_2d", "load_experiment", "load_system",
+    "repair_batch", "run", "run_experiment", "spread_delta",
     "wilcoxon_signed_rank",
 ]

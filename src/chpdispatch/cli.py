@@ -7,7 +7,9 @@ Subcommands:
 
 Output layout: <root>/<experiment_id>/<algorithm>/<algorithm>_seed<N>.csv
 plus manifest.json at the experiment level, the one list of an
-experiment's runs: report reads exactly the runs it lists. The
+experiment's runs: report reads exactly the runs it lists. Each run's
+worker writes its front file; run deletes the old manifest before any run
+starts and writes the new one after the last. The
 CHPDISPATCH_OUTPUT_ROOT environment variable overrides the configured
 output root. Front files are written atomically (temp file + rename) with
 repr-exact floats, so a rerun with identical config and seed reproduces
@@ -69,15 +71,9 @@ class ExperimentConfig:
         tags = [a.algorithm for a in self.algorithms]
         if len(set(tags)) != len(tags):
             raise ValueError("algorithm tags must be unique per experiment")
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    experiment_id: str
-    algorithm: str
-    seed: int
-    wall_time: float
-    front: FrontArchive
+        if self.mode == "chped" and {"IDBEA", "IBEA"} <= set(tags):
+            raise ValueError("a chped experiment lists IDBEA or IBEA, not "
+                             "both: in chped mode the two select identically")
 
 
 def load_experiment(path) -> ExperimentConfig:
@@ -326,16 +322,23 @@ def _workers(n_runs: int) -> int:
 
 
 def _solve(task):
-    """One seeded run, in a worker process or in the caller: (front, wall
-    seconds, the warnings it raised as (category, text, file, line))."""
-    system, ecfg, mode = task
+    """One seeded run, in a worker process or in the caller. Writes the
+    run's front file under its experiment directory and returns (its
+    manifest entry, its best cost, the warnings it raised as (category,
+    text, file, line))."""
+    system, ecfg, mode, exp_dir = task
+    rel = _front_file(ecfg.algorithm, ecfg.rng_seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         t0 = time.perf_counter()
         front = engine_run(system, ecfg, mode)
         wall = time.perf_counter() - t0
-    return front, wall, [(w.category, str(w.message), w.filename, w.lineno)
-                         for w in caught]
+        _write_front_csv(exp_dir / rel, front, system)
+    entry = {"algorithm": ecfg.algorithm, "seed": ecfg.rng_seed, "file": rel,
+             "front_size": len(front), "n_evaluations": front.n_evaluations,
+             "wall_time": wall}
+    return entry, float(front.objectives[:, 0].min()), [
+        (w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
 
 def _reissue(caught) -> None:
@@ -352,19 +355,23 @@ def _reissue(caught) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, base_dir=None,
-                   progress=None) -> list[RunRecord]:
+                   progress=None) -> dict:
     """Run all seeded repetitions of all configured algorithms, persisting
-    one front CSV per run plus a manifest; returns the run records.
+    one front CSV per run plus a manifest; returns the manifest.
 
-    The runs go to _workers(...) worker processes; each result is written
-    as it arrives, in run order, so the files, records and progress lines
-    are those of a serial loop. wall_time is each run's own time."""
+    The runs go to _workers(...) worker processes, and each writes its own
+    front file. The caller takes the results in run order, so the manifest
+    entries, reissued warnings and progress lines are those of a serial
+    loop. wall_time is each run's own time. A manifest left by an earlier
+    run is deleted first: a failed run leaves none."""
     system = load_system(cfg.system)
     exp_dir = _output_base(cfg, base_dir) / cfg.experiment_id
     exp_dir.mkdir(parents=True, exist_ok=True)
+    (exp_dir / "manifest.json").unlink(missing_ok=True)
     for ecfg in cfg.algorithms:
         (exp_dir / ecfg.algorithm).mkdir(exist_ok=True)
-    tasks = [(system, replace(ecfg, rng_seed=cfg.seed_base + rep), cfg.mode)
+    tasks = [(system, replace(ecfg, rng_seed=cfg.seed_base + rep), cfg.mode,
+              exp_dir)
              for ecfg in cfg.algorithms for rep in range(cfg.repetitions)]
     n_workers = _workers(len(tasks))
     pool = None
@@ -374,31 +381,17 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None,
         # state already loaded; a fresh interpreter per worker would cost a
         # sizeable share of one run
         pool = multiprocessing.get_context("fork").Pool(n_workers)
-    records = []
-    manifest_runs = []
+    runs = []
     try:
         results = pool.imap(_solve, tasks) if pool else map(_solve, tasks)
-        for (_, ecfg, _), (front, wall, caught) in zip(tasks, results):
-            seed = ecfg.rng_seed
+        for entry, best_cost, caught in results:
             _reissue(caught)
-            rel = _front_file(ecfg.algorithm, seed)
-            _write_front_csv(exp_dir / rel, front, system)
-            records.append(RunRecord(experiment_id=cfg.experiment_id,
-                                     algorithm=ecfg.algorithm, seed=seed,
-                                     wall_time=wall, front=front))
-            manifest_runs.append({
-                "algorithm": ecfg.algorithm,
-                "seed": seed,
-                "file": rel,
-                "front_size": len(front),
-                "n_evaluations": front.n_evaluations,
-                "wall_time": wall,
-            })
+            runs.append(entry)
             if progress:
-                progress(f"{ecfg.algorithm} seed {seed}: "
-                         f"{len(front)} front points, "
-                         f"best cost {front.objectives[:, 0].min():.1f}, "
-                         f"{wall:.1f}s")
+                progress(f"{entry['algorithm']} seed {entry['seed']}: "
+                         f"{entry['front_size']} front points, "
+                         f"best cost {best_cost:.1f}, "
+                         f"{entry['wall_time']:.1f}s")
     finally:
         if pool is not None:      # no worker outlives the call
             pool.terminate()
@@ -412,11 +405,11 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None,
         "seed_base": cfg.seed_base,
         "algorithms": [{k: v for k, v in asdict(a).items() if k in _ENTRY_KEYS}
                        for a in cfg.algorithms],
-        "runs": manifest_runs,
+        "runs": runs,
     }
     _atomic_write(exp_dir / "manifest.json",
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return records
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +548,9 @@ def _write_eaf(exp_dir: Path, fronts) -> list[Path]:
 
 def _cmd_run(args) -> int:
     cfg = load_experiment(args.experiment)
-    records = run_experiment(cfg, progress=print)
+    manifest = run_experiment(cfg, progress=print)
     exp_dir = _output_base(cfg) / cfg.experiment_id
-    print(f"{len(records)} run(s) written under {exp_dir}")
+    print(f"{len(manifest['runs'])} run(s) written under {exp_dir}")
     return 0
 
 

@@ -558,6 +558,9 @@ def load_system(path_or_name) -> SystemDefinition:
     except json.JSONDecodeError as exc:
         raise SystemLoadError(f"system file is not valid JSON: {exc}") from exc
     check_section(data, "system file", _SYSTEM_KEYS, ("demand",))
+    for key in ("name", "description"):
+        if key in data and not isinstance(data[key], str):
+            raise SystemLoadError(f"{key} must be a string, not {data[key]!r}")
     demand = data["demand"]
     check_section(demand, "demand", ("power", "heat"), ("power", "heat"))
     for key in ("power", "heat"):

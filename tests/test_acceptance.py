@@ -15,7 +15,8 @@ from chpdispatch import (DispatchVector, EngineConfig, ExperimentConfig,
                          ForPolygon, NormalizationBounds, evaluate, hv_metric,
                          hypervolume_2d, load_system, run, run_experiment,
                          spread_delta, wilcoxon_signed_rank)
-from chpdispatch.cli import _write_front_csv
+from chpdispatch.cli import (_load_experiment, _read_front_csv,
+                             _write_front_csv)
 from chpdispatch.engine import _crowding, _env_select, _fast_nds
 
 import oracles
@@ -32,11 +33,10 @@ def _paired_runs(name, root):
         algorithms=(EngineConfig(algorithm="IDBEA"),
                     EngineConfig(algorithm="IBEA")),
         repetitions=len(SEEDS), seed_base=SEEDS[0])
-    recs = {(r.algorithm, r.seed): r
-            for r in run_experiment(cfg, base_dir=root)}
-    return [(recs["IDBEA", s].front, recs["IDBEA", s].wall_time,
-             recs["IBEA", s].front, recs["IBEA", s].wall_time)
-            for s in SEEDS]
+    run_experiment(cfg, base_dir=root)
+    _, fronts, walls = _load_experiment(root / name)
+    return [(fronts["IDBEA"][s], walls["IDBEA", s],
+             fronts["IBEA"][s], walls["IBEA", s]) for s in SEEDS]
 
 
 @pytest.fixture(scope="session")
@@ -55,8 +55,11 @@ def sys1_runs(tmp_path_factory):
         experiment_id="system1", system="system1",
         algorithms=(EngineConfig(algorithm="IDBEA"),), mode="chped",
         repetitions=30, seed_base=1)
-    records = run_experiment(cfg, base_dir=tmp_path_factory.mktemp("sys1"))
-    return load_system("system1"), [(r.front, r.wall_time) for r in records]
+    root = tmp_path_factory.mktemp("sys1")
+    run_experiment(cfg, base_dir=root)
+    _, fronts, walls = _load_experiment(root / "system1")
+    return load_system("system1"), [(front, walls["IDBEA", s]) for s, front
+                                    in sorted(fronts["IDBEA"].items())]
 
 
 def _rel_ok(got, want, rel):
@@ -252,13 +255,16 @@ class TestOracleEquivalence:
 
 class TestDeterminism:
     def test_repeated_run_byte_identical_dump(self, sys2_pairs, tmp_path):
+        # the experiment's stored seed-1 front, in file order, against a
+        # fresh run of the same seed
         system = load_system("system2")
         first = sys2_pairs[0][0]
         again = run(system, EngineConfig(rng_seed=1, algorithm="IDBEA"))
-        assert again.genes.tobytes() == first.genes.tobytes()
-        assert again.objectives.tobytes() == first.objectives.tobytes()
-        assert again.violations.tobytes() == first.violations.tobytes()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         _write_front_csv(a, first, system)
         _write_front_csv(b, again, system)
         assert a.read_bytes() == b.read_bytes()
+        back = _read_front_csv(b)
+        assert back.genes.tobytes() == first.genes.tobytes()
+        assert back.objectives.tobytes() == first.objectives.tobytes()
+        assert back.violations.tobytes() == first.violations.tobytes()

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from chpdispatch import (EngineConfig, ExperimentConfig, FrontArchive,
                          NormalizationBounds, SystemLoadError, eaf_surfaces,
                          emit_reports, hv_metric, load_experiment,
-                         load_system, run_experiment, spread_delta,
+                         load_system, run, run_experiment, spread_delta,
                          wilcoxon_signed_rank)
 from chpdispatch import cli, constraints
 from chpdispatch.cli import _read_front_csv, _table, _write_front_csv, main
@@ -58,8 +58,8 @@ def paired_experiment(tmp_path_factory):
         repetitions=3,
         seed_base=5,
     )
-    records = run_experiment(cfg, base_dir=root)
-    return cfg, root / "paired", records
+    manifest = run_experiment(cfg, base_dir=root)
+    return cfg, root / "paired", manifest
 
 
 @pytest.fixture(scope="session")
@@ -77,8 +77,8 @@ def chped_experiment(tmp_path_factory):
         algorithms=(EngineConfig(algorithm="IDBEA", **TINY),),
         mode="chped",
     )
-    records = run_experiment(cfg, base_dir=root)
-    return root / "single", records
+    manifest = run_experiment(cfg, base_dir=root)
+    return root / "single", manifest
 
 
 @pytest.fixture(scope="session")
@@ -177,6 +177,20 @@ class TestLoadExperiment:
         path = _write_exp(tmp_path, algorithms=algs)
         with pytest.raises(SystemLoadError, match=r"algorithms\[1\]:"):
             load_experiment(path)
+
+    def test_chped_refuses_idbea_with_ibea(self, tmp_path):
+        # in chped mode the two select identically: listing both would run
+        # one solver twice
+        three = [dict(algorithm=a, **TINY) for a in ("IDBEA", "NSGA2", "IBEA")]
+        path = _write_exp(tmp_path, mode="chped", algorithms=three)
+        with pytest.raises(SystemLoadError, match="in chped mode the two "
+                           "select identically"):
+            load_experiment(path)
+        for algs in (three[:2], three[1:]):
+            path = _write_exp(tmp_path, mode="chped", algorithms=algs)
+            assert load_experiment(path).mode == "chped"
+        path = _write_exp(tmp_path, algorithms=three)
+        assert len(load_experiment(path).algorithms) == 3
 
     def test_bad_mode(self, tmp_path):
         path = _write_exp(tmp_path, mode="minimize")
@@ -319,17 +333,17 @@ class TestRunExperiment:
     def test_single_repetition_yields_one_record(self, tmp_path):
         cfg = ExperimentConfig(experiment_id="one", system="system2",
                                algorithms=(EngineConfig(**TINY),))
-        records = run_experiment(cfg, base_dir=tmp_path)
-        assert len(records) == 1
-        assert records[0].seed == 1
+        manifest = run_experiment(cfg, base_dir=tmp_path)
+        assert [(e["algorithm"], e["seed"]) for e in manifest["runs"]] == \
+            [("IDBEA", 1)]
 
     def test_record_grid(self, paired_experiment):
-        _, _, records = paired_experiment
-        grid = [(r.algorithm, r.seed) for r in records]
+        _, _, manifest = paired_experiment
+        grid = [(e["algorithm"], e["seed"]) for e in manifest["runs"]]
         assert grid == [("IDBEA", 5), ("IDBEA", 6), ("IDBEA", 7),
                         ("IBEA", 5), ("IBEA", 6), ("IBEA", 7)]
-        assert all(r.experiment_id == "paired" for r in records)
-        assert all(r.wall_time > 0 for r in records)
+        assert manifest["experiment_id"] == "paired"
+        assert all(e["wall_time"] > 0 for e in manifest["runs"])
 
     def test_output_layout(self, paired_experiment):
         _, exp_dir, _ = paired_experiment
@@ -339,8 +353,10 @@ class TestRunExperiment:
         assert (exp_dir / "manifest.json").exists()
 
     def test_manifest_contents(self, paired_experiment):
-        cfg, exp_dir, records = paired_experiment
+        cfg, exp_dir, returned = paired_experiment
         manifest = json.loads((exp_dir / "manifest.json").read_text())
+        assert manifest == returned
+        _, fronts, _ = cli._load_experiment(exp_dir)
         assert manifest["experiment_id"] == "paired"
         assert manifest["system"] == "system2"
         assert manifest["system_id"] == "system2"
@@ -350,40 +366,39 @@ class TestRunExperiment:
             dict(algorithm=alg, **TINY) for alg in ("IDBEA", "IBEA")]
         runs = manifest["runs"]
         assert len(runs) == 6
-        for entry, rec in zip(runs, records):
-            assert entry["algorithm"] == rec.algorithm
-            assert entry["seed"] == rec.seed
-            assert entry["front_size"] == len(rec.front)
+        for entry in runs:
+            alg, seed = entry["algorithm"], entry["seed"]
+            assert entry["front_size"] == len(fronts[alg][seed])
             assert entry["n_evaluations"] == 64
-            assert entry["file"] == f"{rec.algorithm}/{rec.algorithm}_seed{rec.seed}.csv"
+            assert entry["file"] == f"{alg}/{alg}_seed{seed}.csv"
 
     def test_csv_roundtrip_is_exact(self, paired_experiment):
-        _, exp_dir, records = paired_experiment
-        for rec in records:
-            path = exp_dir / rec.algorithm / f"{rec.algorithm}_seed{rec.seed}.csv"
-            back = _read_front_csv(path)
-            stored = np.hstack([rec.front.objectives,
-                                rec.front.violations[:, None],
-                                rec.front.genes])
+        # the file holds the rows of the engine's run of the same seed
+        cfg, exp_dir, manifest = paired_experiment
+        system = load_system("system2")
+        ecfgs = {a.algorithm: a for a in cfg.algorithms}
+        for entry in manifest["runs"]:
+            front = run(system, replace(ecfgs[entry["algorithm"]],
+                                        rng_seed=entry["seed"]), cfg.mode)
+            back = _read_front_csv(exp_dir / entry["file"])
+            stored = np.hstack([front.objectives, front.violations[:, None],
+                                front.genes])
             loaded = np.hstack([back.objectives, back.violations[:, None],
                                 back.genes])
             assert sorted(map(tuple, stored)) == sorted(map(tuple, loaded))
 
     def test_rows_sorted_by_cost(self, paired_experiment):
-        _, exp_dir, records = paired_experiment
-        rec = records[0]
-        path = exp_dir / rec.algorithm / f"{rec.algorithm}_seed{rec.seed}.csv"
-        back = _read_front_csv(path)
+        _, exp_dir, manifest = paired_experiment
+        back = _read_front_csv(exp_dir / manifest["runs"][0]["file"])
         costs = back.objectives[:, 0]
         assert np.all(np.diff(costs) >= 0)
 
     def test_persisted_fronts_reevaluate_to_stored_objectives(
             self, paired_experiment):
-        _, exp_dir, records = paired_experiment
+        _, exp_dir, manifest = paired_experiment
         system = load_system("system2")
-        for rec in records:
-            path = exp_dir / rec.algorithm / f"{rec.algorithm}_seed{rec.seed}.csv"
-            front = _read_front_csv(path)
+        for entry in manifest["runs"]:
+            front = _read_front_csv(exp_dir / entry["file"])
             p, o, h, t = system.split_genes(front.genes)
             assert np.allclose(cost_batch(p, o, h, t, system),
                                front.objectives[:, 0], rtol=1e-9, atol=1e-9)
@@ -394,7 +409,7 @@ class TestRunExperiment:
             self, paired_experiment, tmp_path):
         cfg, exp_dir, _ = paired_experiment
         again = run_experiment(cfg, base_dir=tmp_path)
-        assert len(again) == 6
+        assert len(again["runs"]) == 6
         for alg in ("IDBEA", "IBEA"):
             for seed in (5, 6, 7):
                 rel = f"{alg}/{alg}_seed{seed}.csv"
@@ -415,15 +430,38 @@ class TestRunExperiment:
                                algorithms=(EngineConfig(**TINY),),
                                repetitions=2)
         messages = []
-        run_experiment(cfg, base_dir=tmp_path, progress=messages.append)
-        assert len(messages) == 2
+        manifest = run_experiment(cfg, base_dir=tmp_path,
+                                  progress=messages.append)
+        _, fronts, _ = cli._load_experiment(tmp_path / "prog")
+        assert messages == [
+            f"IDBEA seed {e['seed']}: {e['front_size']} front points, "
+            f"best cost {fronts['IDBEA'][e['seed']].objectives[:, 0].min():.1f}"
+            f", {e['wall_time']:.1f}s" for e in manifest["runs"]]
         assert "IDBEA seed 1" in messages[0]
 
+    def test_solve_writes_its_front_and_returns_its_entry(self, tmp_path):
+        system = load_system("system2")
+        ecfg = EngineConfig(algorithm="IBEA", rng_seed=3, **TINY)
+        (tmp_path / "IBEA").mkdir()
+        entry, best_cost, caught = cli._solve(
+            (system, ecfg, "chpeed", tmp_path))
+        front = run(system, ecfg, "chpeed")
+        assert entry.pop("wall_time") > 0
+        assert entry == {"algorithm": "IBEA", "seed": 3,
+                         "file": "IBEA/IBEA_seed3.csv",
+                         "front_size": len(front), "n_evaluations": 64}
+        assert best_cost == front.objectives[:, 0].min()
+        assert caught == []
+        _write_front_csv(tmp_path / "expected.csv", front, system)
+        assert (tmp_path / "IBEA" / "IBEA_seed3.csv").read_bytes() == \
+            (tmp_path / "expected.csv").read_bytes()
+
     def test_chped_records(self, chped_experiment):
-        _, records = chped_experiment
-        rec = records[0]
-        assert (rec.algorithm, rec.seed) == ("IDBEA", 1)
-        assert rec.front.objectives.shape[1] == 1
+        exp_dir, manifest = chped_experiment
+        entry, = manifest["runs"]
+        assert (entry["algorithm"], entry["seed"]) == ("IDBEA", 1)
+        front = _read_front_csv(exp_dir / entry["file"])
+        assert front.objectives.shape[1] == 1
 
     def test_chped_csv_has_no_emission_column(self, chped_experiment):
         exp_dir, _ = chped_experiment
@@ -606,12 +644,12 @@ class TestParallelRuns:
         assert cli._workers(5) == 1
 
     def test_files_do_not_depend_on_worker_count(self, monkeypatch, tmp_path):
-        manifests, records = [], []
+        manifests = []
         for n in (1, 2):
-            records.append(_run_with_workers(monkeypatch, n, MIXED,
-                                             tmp_path / str(n)))
+            manifest = _run_with_workers(monkeypatch, n, MIXED,
+                                         tmp_path / str(n))
             assert multiprocessing.active_children() == []
-            manifest = json.loads(
+            assert manifest == json.loads(
                 (tmp_path / str(n) / "mixed" / "manifest.json").read_text())
             for entry in manifest["runs"]:
                 assert entry.pop("wall_time") > 0
@@ -623,10 +661,6 @@ class TestParallelRuns:
         for rel in csvs:
             assert (tmp_path / "1" / rel).read_bytes() == \
                 (tmp_path / "2" / rel).read_bytes()
-        for a, b in zip(*records):
-            assert (a.algorithm, a.seed) == (b.algorithm, b.seed)
-            assert a.front.genes.tobytes() == b.front.genes.tobytes()
-            assert a.front.objectives.tobytes() == b.front.objectives.tobytes()
 
     def test_progress_and_records_in_task_order(self, monkeypatch, tmp_path):
         grid = [(alg, seed) for alg in ("IDBEA", "NSGA2")
@@ -634,10 +668,11 @@ class TestParallelRuns:
         seen = []
         for n in (1, 2):
             messages = []
-            records = _run_with_workers(monkeypatch, n, MIXED,
-                                        tmp_path / str(n),
-                                        progress=messages.append)
-            assert [(r.algorithm, r.seed) for r in records] == grid
+            manifest = _run_with_workers(monkeypatch, n, MIXED,
+                                         tmp_path / str(n),
+                                         progress=messages.append)
+            assert [(e["algorithm"], e["seed"])
+                    for e in manifest["runs"]] == grid
             assert [m.split(":")[0] for m in messages] == \
                 [f"{alg} seed {seed}" for alg, seed in grid]
             # all but the trailing wall time
@@ -677,6 +712,34 @@ class TestParallelRuns:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "mixed" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_failed_rerun_leaves_no_stale_manifest(
+            self, monkeypatch, tmp_path, capsys, n_workers):
+        # the rerun overwrites the fronts of seeds 1 and 2 before seed 3
+        # fails; the first run's manifest would list them as 64-evaluation
+        # runs
+        first = ExperimentConfig(
+            experiment_id="again", system="system2", repetitions=3,
+            algorithms=(EngineConfig(algorithm="IDBEA", **TINY),))
+        _run_with_workers(monkeypatch, n_workers, first, tmp_path)
+        exp_dir = tmp_path / "again"
+        assert (exp_dir / "manifest.json").exists()
+        real = cli.engine_run
+
+        def failing(system, ecfg, mode):
+            if ecfg.rng_seed == 3:
+                raise ArithmeticError("seed 3 failed")
+            return real(system, ecfg, mode)
+
+        monkeypatch.setattr(cli, "engine_run", failing)
+        second = replace(first, algorithms=(EngineConfig(
+            algorithm="IDBEA", population_size=8, max_evaluations=400),))
+        with pytest.raises(ArithmeticError, match="seed 3 failed"):
+            _run_with_workers(monkeypatch, n_workers, second, tmp_path)
+        assert not (exp_dir / "manifest.json").exists()
+        assert main(["report", str(exp_dir)]) == 2
+        assert "manifest not found" in capsys.readouterr().err
+
 
 class TestEmitReports:
     def test_written_inventory(self, paired_reports):
@@ -690,38 +753,40 @@ class TestEmitReports:
 
     def test_report_table_matches_fronts(self, paired_experiment,
                                          paired_reports):
-        _, _, records = paired_experiment
+        _, _, manifest = paired_experiment
         exp_dir, _ = paired_reports
+        _, fronts, _ = cli._load_experiment(exp_dir)
+        walls = {(e["algorithm"], e["seed"]): e["wall_time"]
+                 for e in manifest["runs"]}
         with open(exp_dir / "report.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 3 * len(records)
-        by_run = {(r.algorithm, r.seed): r for r in records}
+        assert len(rows) == 3 * len(walls)
         for row in rows:
-            rec = by_run[(row["algorithm"], int(row["seed"]))]
-            objs = rec.front.objectives
+            alg, seed = row["algorithm"], int(row["seed"])
+            front = fronts[alg][seed]
+            objs = front.objectives
             idx = {"best_cost": int(np.argmin(objs[:, 0])),
                    "best_emission": int(np.argmin(objs[:, 1])),
                    "compromise": cli._compromise_index(objs)}[row["solution"]]
             assert float(row["cost"]) == objs[idx, 0]
             assert float(row["emission"]) == objs[idx, 1]
-            assert float(row["violation"]) == rec.front.violations[idx]
+            assert float(row["violation"]) == front.violations[idx]
             assert float(row["ploss"]) == 0.0
             genes = [float(row[c]) for c in
                      ("p1", "o1", "o2", "o3", "h1", "h2", "h3", "t1")]
-            assert np.array_equal(genes, rec.front.genes[idx])
-            assert float(row["wall_time_s"]) == rec.wall_time
+            assert np.array_equal(genes, front.genes[idx])
+            assert float(row["wall_time_s"]) == walls[alg, seed]
 
     def test_summary_statistics(self, paired_experiment, paired_reports):
-        _, _, records = paired_experiment
-        exp_dir, _ = paired_reports
+        _, exp_dir, manifest = paired_experiment
+        _, fronts, _ = cli._load_experiment(exp_dir)
         with open(exp_dir / "summary.csv", newline="") as fh:
             rows = {r["algorithm"]: r for r in csv.DictReader(fh)}
         assert set(rows) == {"IDBEA", "IBEA"}
         for alg, row in rows.items():
-            mins = [r.front.objectives[:, 0].min() for r in records
-                    if r.algorithm == alg]
-            ems = [r.front.objectives[:, 1].min() for r in records
-                   if r.algorithm == alg]
+            runs = [e for e in manifest["runs"] if e["algorithm"] == alg]
+            mins = [fronts[alg][e["seed"]].objectives[:, 0].min() for e in runs]
+            ems = [fronts[alg][e["seed"]].objectives[:, 1].min() for e in runs]
             assert int(row["runs"]) == 3
             assert float(row["best_cost"]) == min(mins)
             assert float(row["worst_cost"]) == max(mins)
@@ -842,7 +907,7 @@ class TestEmitReports:
         run_experiment(first, base_dir=tmp_path)
         second = replace(first, seed_base=10, algorithms=(
             EngineConfig(algorithm="NSGA2", **TINY),))
-        records = run_experiment(second, base_dir=tmp_path)
+        manifest = run_experiment(second, base_dir=tmp_path)
         exp_dir = tmp_path / "x"
         assert (exp_dir / "IDBEA" / "IDBEA_seed1.csv").exists()
         written = {p.name for p in emit_reports(exp_dir)}
@@ -860,7 +925,7 @@ class TestEmitReports:
         assert [(r["algorithm"], int(r["runs"]))
                 for r in tables["summary.csv"]] == [("NSGA2", 2)]
         assert float(tables["summary.csv"][0]["mean_wall_time_s"]) == \
-            np.mean([r.wall_time for r in records])
+            np.mean([e["wall_time"] for e in manifest["runs"]])
         assert {(r["algorithm"], int(r["seed"]))
                 for r in tables["metrics.csv"]} == runs
         assert len(tables["metrics.csv"]) == len(runs)

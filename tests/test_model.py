@@ -60,17 +60,17 @@ SWEEPS = [
 PUBLIC_NAMES = [
     "CogenUnit", "DispatchVector", "EngineConfig", "Evaluation",
     "ExperimentConfig", "ForPolygon", "FrontArchive", "HeatOnlyUnit",
-    "LossModel", "NormalizationBounds", "PowerOnlyUnit", "RunRecord",
-    "SystemDefinition", "SystemLoadError", "eaf_surfaces", "emit_reports",
-    "evaluate", "hv_metric", "hypervolume_2d", "load_experiment",
-    "load_system", "repair_batch", "run", "run_experiment", "spread_delta",
+    "LossModel", "NormalizationBounds", "PowerOnlyUnit", "SystemDefinition",
+    "SystemLoadError", "eaf_surfaces", "emit_reports", "evaluate",
+    "hv_metric", "hypervolume_2d", "load_experiment", "load_system",
+    "repair_batch", "run", "run_experiment", "spread_delta",
     "wilcoxon_signed_rank",
 ]
 
 
 def test_public_surface():
     assert sorted(chpdispatch.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 26
+    assert len(PUBLIC_NAMES) == 25
     for name in PUBLIC_NAMES:
         assert getattr(chpdispatch, name) is not None
 
@@ -464,6 +464,14 @@ class TestLoader:
         pytest.param(lambda d: d["loss"]["b"][3].__setitem__(3, False),
                      r"loss b must be finite \(a matrix of numbers\)",
                      id="loss-b-bool"),
+        # text only: the name fills the system column of metrics.csv
+        pytest.param(lambda d: d.update(name=5),
+                     "name must be a string, not 5", id="name-int"),
+        pytest.param(lambda d: d.update(name=None),
+                     "name must be a string, not None", id="name-null"),
+        pytest.param(lambda d: d.update(description=[1]),
+                     r"description must be a string, not \[1\]",
+                     id="description-list"),
     ])
     def test_malformed_sections_rejected(self, tmp_path, edit, message):
         data = json.loads(resources.files("chpdispatch.data")
