@@ -363,7 +363,8 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None,
     front file. The caller takes the results in run order, so the manifest
     entries, reissued warnings and progress lines are those of a serial
     loop. wall_time is each run's own time. A manifest left by an earlier
-    run is deleted first: a failed run leaves none."""
+    run is deleted first: a failed run leaves none, nor a front temp file
+    of a worker stopped mid-write."""
     system = load_system(cfg.system)
     exp_dir = _output_base(cfg, base_dir) / cfg.experiment_id
     exp_dir.mkdir(parents=True, exist_ok=True)
@@ -396,6 +397,8 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None,
         if pool is not None:      # no worker outlives the call
             pool.terminate()
             pool.join()
+        for tmp in exp_dir.glob("*/*.csv.tmp"):   # a write cut short
+            tmp.unlink()
     manifest = {
         "experiment_id": cfg.experiment_id,
         "system": cfg.system,

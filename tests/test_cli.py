@@ -703,6 +703,9 @@ class TestParallelRuns:
 
         def failing(system, ecfg, mode):
             if ecfg.rng_seed == 12:
+                # as a worker stopped between writing and renaming a front
+                alg = ecfg.algorithm
+                (tmp_path / "mixed" / alg / f"{alg}_seed13.csv.tmp").touch()
                 raise ArithmeticError("seed 12 failed")
             return real(system, ecfg, mode)
 
@@ -711,6 +714,7 @@ class TestParallelRuns:
             _run_with_workers(monkeypatch, n_workers, MIXED, tmp_path)
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "mixed" / "manifest.json").exists()
+        assert list((tmp_path / "mixed").glob("*/*.tmp")) == []
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_failed_rerun_leaves_no_stale_manifest(
